@@ -45,6 +45,7 @@ __all__ = [
     "roc_points",
     "pr_points",
     "read_records",
+    "parse_label_counts",
 ]
 
 CATEGORIES = ("below_both", "flip", "above_both")
@@ -365,9 +366,13 @@ def _step_area(points: Sequence[tuple[float, float]]) -> float:
     return area
 
 
-def evaluate_prediction(records: Sequence[ExperimentRecord]) -> PredictionEvaluation:
+def evaluate_prediction(
+    records: Sequence[ExperimentRecord], verdicts: Sequence[AuditVerdict]
+) -> PredictionEvaluation:
     """Score both baselines as predictors of above-random held-out accuracy.
 
+    ``verdicts`` are ``classify(record)`` for each record, in order; their
+    baselines and p-values are used as they are, not recomputed.
     Ground truth is ``heldout_accuracy`` strictly above the standard
     baseline (the held-out set is used once, so no stronger bar applies).
     Each threshold predictor fires when the observed maximum validation
@@ -377,18 +382,19 @@ def evaluate_prediction(records: Sequence[ExperimentRecord]) -> PredictionEvalua
     """
     if len(records) == 0:
         raise DomainError("records must be nonempty")
+    if [v.id for v in verdicts] != [r.id for r in records]:
+        raise DomainError("verdicts must be the classify() results of the records, in order")
     truths: list[bool] = []
     standard_preds: list[bool] = []
     max_preds: list[bool] = []
     scores: list[float] = []
-    for record in records:
+    for record, verdict in zip(records, verdicts):
         if record.heldout_accuracy is None or record.heldout_n is None:
             raise DomainError(f"record {record.id!r} is missing held-out fields")
-        report = baseline_report(record.spec(), record.observed_max_accuracy)
-        truths.append(record.heldout_accuracy > report.expected_standard)
-        standard_preds.append(record.observed_max_accuracy > report.expected_standard)
-        max_preds.append(record.observed_max_accuracy > report.expected_max)
-        scores.append(1.0 - report.p_standard)
+        truths.append(record.heldout_accuracy > verdict.expected_standard)
+        standard_preds.append(verdict.observed_max_accuracy > verdict.expected_standard)
+        max_preds.append(verdict.observed_max_accuracy > verdict.expected_max)
+        scores.append(1.0 - verdict.p_standard)
     positives = sum(truths)
     negatives = len(truths) - positives
     if positives and negatives:
@@ -433,6 +439,13 @@ def _confusion(truths: Sequence[bool], predictions: Sequence[bool]) -> Predictor
 _REQUIRED_FIELDS = ("id", "model", "dataset", "n", "labels", "t", "observed_max_accuracy")
 
 
+def parse_label_counts(text: str) -> PerExampleLabels:
+    """Per-example label counts written ``2;3;4``; a single count is one example."""
+    return PerExampleLabels.from_label_counts(
+        [_parse_int(part, "labels") for part in text.split(";")]
+    )
+
+
 def _parse_labels(value: object) -> LabelScheme:
     if isinstance(value, bool):
         raise DomainError(f"labels must be an integer or per-example counts, got {value!r}")
@@ -443,9 +456,7 @@ def _parse_labels(value: object) -> LabelScheme:
     if isinstance(value, str):
         text = value.strip()
         if ";" in text:
-            return PerExampleLabels.from_label_counts(
-                [_parse_int(part, "labels") for part in text.split(";")]
-            )
+            return parse_label_counts(text)
         return UniformLabels(_parse_int(text, "labels"))
     raise DomainError(f"labels must be an integer or per-example counts, got {value!r}")
 
@@ -455,7 +466,8 @@ def _parse_int(value: object, field: str) -> int:
         raise DomainError(f"{field} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, float) and value == int(value):
+    # JSON admits NaN, Infinity and 1e400 (which parses as inf).
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
         return int(value)
     if isinstance(value, str):
         try:

@@ -73,15 +73,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
+def _json_value(value):
     if isinstance(value, float):
         if math.isnan(value):
             return None
         return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
     return value
 
 
@@ -94,29 +90,38 @@ def _csv_block(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit_sections(sections, fmt: str, out: str | None) -> None:
+    """Write ``(kind, header, rows)`` sections as CSV blocks or JSON lines.
+
+    CSV prints each section as a header plus rows, blocks separated by a
+    blank line, so an empty section still prints its header.  JSON prints
+    one object per row, keyed by the header and led by ``kind`` unless
+    the kind is None.
+    """
+    if fmt == "json":
+        text = "".join(
+            json.dumps(
+                ({"kind": kind} if kind else {})
+                | {key: _json_value(value) for key, value in zip(header, row)}
+            )
+            + "\n"
+            for kind, header, rows in sections
+            for row in rows
+        )
+    else:
+        text = "\n".join(_csv_block(header, rows) for _, header, rows in sections)
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _json_lines(objects) -> str:
-    return "".join(json.dumps(_jsonable(obj)) + "\n" for obj in objects)
+def _emit_record(payload: dict, fmt: str, out: str | None) -> None:
+    _emit_sections([(None, list(payload), [list(payload.values())])], fmt, out)
 
 
-def _emit_record(payload: dict, header, row, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(_json_lines([payload]), out)
-    else:
-        _emit(_csv_block(header, [row]), out)
-
-
-def _emit_rows(rows: list[dict], header, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(_json_lines(rows), out)
-    else:
-        _emit(_csv_block(header, [[row[key] for key in header] for row in rows]), out)
+def _fields(obj, names) -> list:
+    return [getattr(obj, name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +132,7 @@ def _scheme(m: int | None, labels: str | None) -> LabelScheme:
         raise DomainError("provide exactly one of --m or --labels")
     if m is not None:
         return UniformLabels(m)
-    return _parse_label_counts(labels)
-
-
-def _parse_label_counts(text: str) -> PerExampleLabels:
-    try:
-        counts = [int(part) for part in text.split(";")]
-    except ValueError:
-        raise DomainError(
-            f"--labels must be semicolon-delimited integer label counts, got {text!r}"
-        ) from None
-    return PerExampleLabels.from_label_counts(counts)
+    return audit_mod.parse_label_counts(labels)
 
 
 def _parse_axis(text: str, name: str) -> list[int]:
@@ -199,7 +194,7 @@ def baseline(n, m, labels, t, fmt, out) -> None:
         "expected_max": expected_max_accuracy(spec),
         "min_accuracy_beating_max": min_accuracy_beating_max(spec),
     }
-    _emit_record(payload, list(payload), list(payload.values()), fmt, out)
+    _emit_record(payload, fmt, out)
 
 
 @main.command()
@@ -218,7 +213,7 @@ def pvalue(n, m, labels, t, acc, fmt, out) -> None:
         "p_standard": p_value_standard(spec, acc),
         "p_max": p_value_max(spec, acc),
     }
-    _emit_record(payload, list(payload), list(payload.values()), fmt, out)
+    _emit_record(payload, fmt, out)
 
 
 @main.command()
@@ -242,7 +237,7 @@ def threshold(n, m, labels, t, alpha, fmt, out) -> None:
             min_accuracy_at_significance(spec, alpha) if alpha is not None else None
         ),
     }
-    _emit_record(payload, list(payload), list(payload.values()), fmt, out)
+    _emit_record(payload, fmt, out)
 
 
 @main.command()
@@ -287,8 +282,8 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha, fmt, out) -> None:
                 value = tail_probability_max(spec, acc)
             else:
                 value = min_accuracy_at_significance(spec, alpha)
-            rows.append({"n": n, "t": t, "value": value})
-    _emit_rows(rows, ["n", "t", "value"], fmt, out)
+            rows.append([n, t, value])
+    _emit_sections([(None, ["n", "t", "value"], rows)], fmt, out)
 
 
 @main.command()
@@ -308,33 +303,27 @@ def audit(input_path, input_format, eval_heldout, fmt, out) -> None:
     records = _load_records_strict(input_path, input_format)
     verdicts = [audit_mod.classify(record) for record in records]
     summary = audit_mod.aggregate(verdicts)
-    prediction = audit_mod.evaluate_prediction(records) if eval_heldout else None
-    if fmt == "json":
-        lines = [{"kind": "verdict", **_verdict_dict(v)} for v in verdicts]
-        lines += _summary_lines(summary)
-        if prediction is not None:
-            lines += _prediction_lines(prediction)
-        _emit(_json_lines(lines), out)
-        return
-    blocks = [
-        _csv_block(_VERDICT_HEADER, [_verdict_row(v) for v in verdicts]),
-        _csv_block(_SUMMARY_HEADER, _summary_rows(summary)),
+    scopes = [("total", None, None, summary.total)]
+    scopes += [("group", g.model, g.dataset, g.counts) for g in summary.groups]
+    sections = [
+        ("verdict", _VERDICT_HEADER, [_fields(v, _VERDICT_HEADER) for v in verdicts]),
+        ("summary", _SUMMARY_HEADER,
+         [[scope, model, dataset, *_fields(counts, _SUMMARY_HEADER[3:])]
+          for scope, model, dataset, counts in scopes]),
     ]
-    if prediction is not None:
-        blocks.append(
-            _csv_block(
-                ["predictor", "tp", "fp", "tn", "fn", "accuracy", "precision", "recall"],
-                [_predictor_row("standard", prediction.standard),
-                 _predictor_row("max", prediction.max)],
-            )
-        )
-        blocks.append(
-            _csv_block(["metric", "value"], [["auroc", prediction.auroc], ["aupr", prediction.aupr]])
-        )
+    if eval_heldout:
+        prediction = audit_mod.evaluate_prediction(records, verdicts)
         points = [["roc", x, y] for x, y in prediction.roc_points]
         points += [["pr", x, y] for x, y in prediction.pr_points]
-        blocks.append(_csv_block(["curve", "x", "y"], points))
-    _emit("\n".join(blocks), out)
+        sections += [
+            ("predictor", _PREDICTOR_HEADER,
+             [[name, *_fields(stats, _PREDICTOR_HEADER[1:])]
+              for name, stats in (("standard", prediction.standard), ("max", prediction.max))]),
+            ("metric", ["metric", "value"],
+             [["auroc", prediction.auroc], ["aupr", prediction.aupr]]),
+            ("curve", ["curve", "x", "y"], points),
+        ]
+    _emit_sections(sections, fmt, out)
 
 
 @main.command()
@@ -359,7 +348,7 @@ def simulate(n, m, labels, t, trials, seed, fmt, out) -> None:
         "seed": result.seed,
         "generator": result.generator,
     }
-    _emit_record(payload, list(payload), list(payload.values()), fmt, out)
+    _emit_record(payload, fmt, out)
 
 
 @main.command()
@@ -398,18 +387,16 @@ def curve(input_path, input_format, t_axis, fmt, out) -> None:
             empirical = audit_mod.empirical_expected_max(record.per_prompt_accuracies, t)
             # the estimator is bounded by the sample range; shed float dust
             empirical = min(max(empirical, 0.0), 1.0)
-            rows.append(
-                {
-                    "id": record.id,
-                    "t": t,
-                    "empirical_expected_max": empirical,
-                    "expected_max_baseline": expected_max_accuracy(spec),
-                    "p_standard": tail_probability_standard(spec, empirical),
-                    "p_max": tail_probability_max(spec, empirical),
-                }
-            )
+            rows.append([
+                record.id,
+                t,
+                empirical,
+                expected_max_accuracy(spec),
+                tail_probability_standard(spec, empirical),
+                tail_probability_max(spec, empirical),
+            ])
     header = ["id", "t", "empirical_expected_max", "expected_max_baseline", "p_standard", "p_max"]
-    _emit_rows(rows, header, fmt, out)
+    _emit_sections([(None, header, rows)], fmt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -456,102 +443,7 @@ _SUMMARY_HEADER = [
     "flipped_denominator_zero",
 ]
 
-
-def _verdict_row(v: audit_mod.AuditVerdict) -> list:
-    return [
-        v.id,
-        v.model,
-        v.dataset,
-        v.observed_max_accuracy,
-        v.expected_standard,
-        v.expected_max,
-        v.p_standard,
-        v.p_max,
-        v.category,
-    ]
-
-
-def _verdict_dict(v: audit_mod.AuditVerdict) -> dict:
-    return {
-        "id": v.id,
-        "model": v.model,
-        "dataset": v.dataset,
-        "observed_max_accuracy": v.observed_max_accuracy,
-        "expected_standard": v.expected_standard,
-        "expected_max": v.expected_max,
-        "p_standard": v.p_standard,
-        "p_max": v.p_max,
-        "category": v.category,
-    }
-
-
-def _counts_fields(counts: audit_mod.CategoryCounts) -> list:
-    return [
-        counts.below_both,
-        counts.flip,
-        counts.above_both,
-        counts.flipped_percentage,
-        counts.flipped_denominator_zero,
-    ]
-
-
-def _summary_rows(summary: audit_mod.AuditSummary) -> list[list]:
-    rows = [["total", None, None, *_counts_fields(summary.total)]]
-    for group in summary.groups:
-        rows.append(["group", group.model, group.dataset, *_counts_fields(group.counts)])
-    return rows
-
-
-def _counts_dict(counts: audit_mod.CategoryCounts) -> dict:
-    return {
-        "below_both": counts.below_both,
-        "flip": counts.flip,
-        "above_both": counts.above_both,
-        "flipped_percentage": counts.flipped_percentage,
-        "flipped_denominator_zero": counts.flipped_denominator_zero,
-    }
-
-
-def _summary_lines(summary: audit_mod.AuditSummary) -> list[dict]:
-    lines = [
-        {"kind": "summary", "scope": "total", "model": None, "dataset": None,
-         **_counts_dict(summary.total)}
-    ]
-    for g in summary.groups:
-        lines.append(
-            {"kind": "summary", "scope": "group", "model": g.model, "dataset": g.dataset,
-             **_counts_dict(g.counts)}
-        )
-    return lines
-
-
-def _predictor_row(name: str, stats: audit_mod.PredictorStats) -> list:
-    return [name, stats.tp, stats.fp, stats.tn, stats.fn,
-            stats.accuracy, stats.precision, stats.recall]
-
-
-def _predictor_dict(stats: audit_mod.PredictorStats) -> dict:
-    return {
-        "tp": stats.tp,
-        "fp": stats.fp,
-        "tn": stats.tn,
-        "fn": stats.fn,
-        "accuracy": stats.accuracy,
-        "precision": stats.precision,
-        "recall": stats.recall,
-    }
-
-
-def _prediction_lines(prediction: audit_mod.PredictionEvaluation) -> list[dict]:
-    lines = [
-        {"kind": "predictor", "predictor": "standard", **_predictor_dict(prediction.standard)},
-        {"kind": "predictor", "predictor": "max", **_predictor_dict(prediction.max)},
-        {"kind": "metric", "metric": "auroc", "value": prediction.auroc},
-        {"kind": "metric", "metric": "aupr", "value": prediction.aupr},
-    ]
-    lines += [{"kind": "curve", "curve": "roc", "x": x, "y": y} for x, y in prediction.roc_points]
-    lines += [{"kind": "curve", "curve": "pr", "x": x, "y": y} for x, y in prediction.pr_points]
-    return lines
+_PREDICTOR_HEADER = ["predictor", "tp", "fp", "tn", "fn", "accuracy", "precision", "recall"]
 
 
 if __name__ == "__main__":

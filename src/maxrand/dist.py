@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, FeasibilityError
 
 __all__ = [
     "UniformLabels",
@@ -140,7 +140,12 @@ def _finalize(n: int, pmf: np.ndarray, log_pmf: np.ndarray) -> CountDistribution
     np.minimum(cdf, 1.0, out=cdf)
     # Kahan partial sums can dip by an ulp; the cdf must be nondecreasing.
     np.maximum.accumulate(cdf, out=cdf)
-    assert abs(cdf[-1] - 1.0) < 1e-9, "pmf does not sum to 1"
+    deficit = 1.0 - float(cdf[-1])
+    if not abs(deficit) < 1e-9:
+        raise FeasibilityError(
+            f"the count distribution for n={n} misses a probability mass of {deficit:.3g} "
+            "(more than 1e-9); it cannot be computed exactly at this n"
+        )
     cdf[-1] = 1.0
     for array in (pmf, cdf, log_pmf):
         array.flags.writeable = False
@@ -163,6 +168,7 @@ def binomial_distribution(n: int, p: float) -> CountDistribution:
 
     Raises:
         DomainError: if ``n < 1`` or ``p`` is outside [0, 1].
+        FeasibilityError: if the pmf misses total mass 1 by more than 1e-9.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -280,6 +286,7 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
 
     Raises:
         DomainError: if the sequence is empty or any p_i is outside (0, 1].
+        FeasibilityError: if the pmf misses total mass 1 by more than 1e-9.
     """
     probs = [float(p) for p in probabilities]
     if not probs:

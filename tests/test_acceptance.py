@@ -225,7 +225,7 @@ def test_audit_pipeline_on_hand_scored_fixtures():
         for _ in range(count):
             cohort.append(rec(f"c{i}", observed, heldout, 100))
             i += 1
-    evaluation = evaluate_prediction(cohort)
+    evaluation = evaluate_prediction(cohort, [classify(r) for r in cohort])
     confusion_ok = (
         (evaluation.standard.tp, evaluation.standard.fp,
          evaluation.standard.tn, evaluation.standard.fn) == (22, 13, 6, 9)

@@ -189,13 +189,17 @@ def _cohort_records():
     return records
 
 
+def _evaluate(records):
+    return evaluate_prediction(records, [classify(r) for r in records])
+
+
 class TestEvaluatePrediction:
     def test_perfectly_separable_records(self):
         records = [
             record(id=f"p{i}", observed=1.0, heldout_accuracy=1.0, heldout_n=50)
             for i in range(4)
         ]
-        evaluation = evaluate_prediction(records)
+        evaluation = _evaluate(records)
         for stats in (evaluation.standard, evaluation.max):
             assert stats.accuracy == 1.0
             assert stats.precision == 1.0
@@ -205,7 +209,7 @@ class TestEvaluatePrediction:
         assert evaluation.aupr == 1.0
 
     def test_confusion_counts_match_the_hand_scored_plan(self):
-        evaluation = evaluate_prediction(_cohort_records())
+        evaluation = _evaluate(_cohort_records())
         assert (evaluation.standard.tp, evaluation.standard.fp) == (22, 13)
         assert (evaluation.standard.fn, evaluation.standard.tn) == (9, 6)
         assert (evaluation.max.tp, evaluation.max.fp) == (12, 8)
@@ -216,7 +220,7 @@ class TestEvaluatePrediction:
         assert abs(evaluation.max.recall - 12 / 31) < 1e-12
 
     def test_max_positive_set_is_nested_in_standard_positive_set(self):
-        evaluation = evaluate_prediction(_cohort_records())
+        evaluation = _evaluate(_cohort_records())
         max_positives = evaluation.max.tp + evaluation.max.fp
         standard_positives = evaluation.standard.tp + evaluation.standard.fp
         assert max_positives <= standard_positives
@@ -228,12 +232,19 @@ class TestEvaluatePrediction:
 
     def test_requires_heldout_fields(self):
         with pytest.raises(DomainError):
-            evaluate_prediction([record(id="x", observed=0.56)])
+            _evaluate([record(id="x", observed=0.56)])
         with pytest.raises(DomainError):
-            evaluate_prediction([])
+            _evaluate([])
+
+    def test_verdicts_must_match_the_records_in_order(self):
+        records = _cohort_records()[:3]
+        verdicts = [classify(r) for r in records]
+        for mismatched in (verdicts[::-1], verdicts[:2], verdicts + verdicts[:1]):
+            with pytest.raises(DomainError):
+                evaluate_prediction(records, mismatched)
 
     def test_curve_areas_live_in_the_unit_interval(self):
-        evaluation = evaluate_prediction(_cohort_records())
+        evaluation = _evaluate(_cohort_records())
         assert 0.0 <= evaluation.auroc <= 1.0
         assert 0.0 <= evaluation.aupr <= 1.0
         assert evaluation.roc_points[0] == (0.0, 0.0)

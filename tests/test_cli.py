@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,19 @@ class TestAuditCommand:
         assert result.exit_code == 0
         assert rows(result.output.split("\n\n")[0])[0]["category"] == "above_both"
 
+    @pytest.mark.parametrize("field", ["n", "t", "heldout_n"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_integer_field_is_a_row_error(self, runner, tmp_path, field, token):
+        good = {"id": "r", "model": "m", "dataset": "d", "n": 100, "labels": 2, "t": 10,
+                "observed_max_accuracy": 0.56, "heldout_accuracy": 0.6, "heldout_n": 100}
+        bad = json.dumps({**good, field: "VALUE"}).replace('"VALUE"', token)
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        result = runner.invoke(main, ["audit", str(path)])
+        assert result.exit_code == 2
+        assert f"error: row 2, field {field}: {field} must be an integer" in result.stderr
+        assert result.stdout == ""
+
     def test_out_flag_writes_the_file(self, runner, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text(AUDIT_CSV)
@@ -345,6 +362,21 @@ class TestDeterminismAndErrors:
         monkeypatch.setattr(cli_mod, "expected_max_accuracy", explode)
         result = runner.invoke(main, ["baseline", "--n", "10", "--m", "2", "--t", "1"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_unnormalizable_large_n_exits_3(self, flags):
+        # The binomial pmf at this n misses unit mass by more than 1e-9.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "maxrand.cli",
+             "baseline", "--n", "952000", "--m", "2", "--t", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "n=952000" in result.stderr
 
     def test_json_and_csv_agree(self, runner):
         args = ["baseline", "--n", "100", "--m", "2", "--t", "10"]
