@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .dist import LabelScheme, PerExampleLabels, UniformLabels
-from .errors import DomainError
+from .errors import DomainError, FeasibilityError
 from .orderstat import TaskSpec, accuracy_to_count, baseline_report
 
 __all__ = [
@@ -548,7 +548,7 @@ def _record_from_mapping(
             dataset=str(present["dataset"]),
             **fields,  # type: ignore[arg-type]
         )
-    except DomainError as exc:
+    except (DomainError, FeasibilityError) as exc:
         errors.append(RowError(row, None, str(exc)))
         return None
 

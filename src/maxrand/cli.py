@@ -135,6 +135,9 @@ def _scheme(m: int | None, labels: str | None) -> LabelScheme:
     return audit_mod.parse_label_counts(labels)
 
 
+_MAX_AXIS_POINTS = 10**6
+
+
 def _parse_axis(text: str, name: str) -> list[int]:
     """Axis syntax: 'a,b,c' explicit, 'lo:hi' every integer, 'lo:hi:count' log-spaced."""
     try:
@@ -146,13 +149,15 @@ def _parse_axis(text: str, name: str) -> list[int]:
     if ":" in text:
         if len(parts) == 2:
             lo, hi = parts
-            if hi - lo >= 10**6:
+            if hi - lo >= _MAX_AXIS_POINTS:
                 raise DomainError(f"{name} range {text!r} has over 10^6 points; use lo:hi:count")
             values = list(range(lo, hi + 1))
         elif len(parts) == 3:
             lo, hi, count = parts
             if lo < 1 or hi < lo or count < 1:
                 raise DomainError(f"{name} log-range needs 1 <= lo <= hi and count >= 1")
+            if count > _MAX_AXIS_POINTS:
+                raise DomainError(f"{name} log-range {text!r} asks for over 10^6 points")
             values = sorted({int(round(v)) for v in np.geomspace(lo, hi, count)})
         else:
             raise DomainError(f"{name} range syntax is 'lo:hi' or 'lo:hi:count', got {text!r}")

@@ -5,9 +5,9 @@ out of ``n`` examples right, and its accuracy is ``X / n``.  With the
 same ``m`` labels on every example, ``X`` is Binomial(n, 1/m); when the
 number of labels varies per example, ``X`` is Poisson binomial.  Both
 are computed exactly: pmfs in log space via log-gamma (finite for ``n``
-in the thousands), cdfs by compensated running summation, plus an
-independent regularized-incomplete-beta evaluation of the binomial cdf
-kept as a cross-check of the summation route.
+in the thousands), then the upper tail ``S(k) = P(X >= k)`` by one
+compensated summation per build, from which the cdf is derived, plus an
+independent regularized-incomplete-beta binomial cdf as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
     "count_distribution",
     "tail_sums",
 ]
+
+# Largest n built: a distribution holds three float64 arrays of n + 1 entries.
+MAX_N = 10**7
 
 
 @dataclass(frozen=True)
@@ -94,62 +97,70 @@ LabelScheme = UniformLabels | PerExampleLabels
 class CountDistribution:
     """Exact distribution of a correct-guess count on 0..n.
 
-    ``pmf``, ``cdf`` and ``log_pmf`` are read-only parallel arrays of
-    length ``n + 1`` indexed by the count ``k``.  ``cdf`` is
-    nondecreasing with ``cdf[n] == 1.0`` exactly, and ``log_pmf`` may
-    contain ``-inf`` where the pmf is zero.
+    ``pmf``, ``sf`` and ``log_pmf`` are read-only parallel arrays of
+    length ``n + 1`` indexed by the count ``k``.  ``sf[k] = P(X >= k)`` is
+    nonincreasing with ``sf[0] == 1.0`` exactly (any mass the pmf misses
+    sits at count 0), and ``log_pmf`` may contain ``-inf`` where it is zero.
     """
 
     n: int
     pmf: np.ndarray
-    cdf: np.ndarray
+    sf: np.ndarray
     log_pmf: np.ndarray
 
+    @property
+    def cdf(self) -> np.ndarray:
+        """P(X <= k) = 1 - S(k + 1), nondecreasing with ``cdf[n] == 1.0``."""
+        return np.append(1.0 - self.sf[1:], 1.0)
+
     def tail(self, k: int) -> float:
-        """P(X >= k), accumulated with exact summation over the upper tail."""
+        """P(X >= k), looked up in ``sf``."""
         if k <= 0:
             return 1.0
         if k > self.n:
             return 0.0
-        return min(math.fsum(self.pmf[k:]), 1.0)
-
-
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Kahan running sums of ``values``."""
-    out = np.empty(len(values))
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values.tolist()):
-        y = v - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-        out[i] = total
-    return out
+        return float(self.sf[k])
 
 
 def tail_sums(pmf: np.ndarray) -> np.ndarray:
-    """P(X >= k) for every k, compensated summation from the top down."""
-    tails = _compensated_cumsum(pmf[::-1])[::-1]
+    """P(X >= k) for every k: Kahan sums of ``pmf`` from the top down, capped at 1."""
+    # Allocate the kept array before the temporary list: the other order
+    # fragments the heap over many builds and raises peak memory.
+    tails = np.empty(len(pmf))
+    values = pmf.tolist()
+    total = carry = 0.0
+    for k in range(len(values) - 1, -1, -1):
+        y = values[k] - carry
+        s = total + y
+        carry = (s - total) - y
+        total = s
+        tails[k] = total
     np.minimum(tails, 1.0, out=tails)
     return tails
 
 
 def _finalize(n: int, pmf: np.ndarray, log_pmf: np.ndarray) -> CountDistribution:
-    cdf = _compensated_cumsum(pmf)
-    np.minimum(cdf, 1.0, out=cdf)
-    # Kahan partial sums can dip by an ulp; the cdf must be nondecreasing.
-    np.maximum.accumulate(cdf, out=cdf)
-    deficit = 1.0 - float(cdf[-1])
+    sf = tail_sums(pmf)
+    deficit = 1.0 - float(sf[0])
     if not abs(deficit) < 1e-9:
         raise FeasibilityError(
             f"the count distribution for n={n} misses a probability mass of {deficit:.3g} "
             "(more than 1e-9); it cannot be computed exactly at this n"
         )
-    cdf[-1] = 1.0
-    for array in (pmf, cdf, log_pmf):
+    # Kahan partial sums can dip by an ulp; the tail must be nonincreasing.
+    np.maximum.accumulate(sf[::-1], out=sf[::-1])
+    sf[0] = 1.0
+    for array in (pmf, sf, log_pmf):
         array.flags.writeable = False
-    return CountDistribution(n=n, pmf=pmf, cdf=cdf, log_pmf=log_pmf)
+    return CountDistribution(n=n, pmf=pmf, sf=sf, log_pmf=log_pmf)
+
+
+def _check_n(n: int) -> None:
+    """Reject ``n`` outside 1..MAX_N before anything of size n is allocated."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise FeasibilityError(f"n={n} exceeds the largest supported n, {MAX_N}")
 
 
 @lru_cache(maxsize=64)
@@ -163,15 +174,14 @@ def binomial_distribution(n: int, p: float) -> CountDistribution:
     """Binomial(n, p) distribution of the number of correct guesses.
 
     The pmf is evaluated as ``exp(log C(n, k) + k log p + (n-k) log(1-p))``
-    with log-gamma factorials, so it never overflows; the cdf is the
-    compensated running sum of the pmf.
+    with log-gamma factorials, so it never overflows; the upper tail is
+    the compensated sum of the pmf from the top down.
 
     Raises:
         DomainError: if ``n < 1`` or ``p`` is outside [0, 1].
-        FeasibilityError: if the pmf misses total mass 1 by more than 1e-9.
+        FeasibilityError: if ``n > MAX_N`` or the pmf misses unit mass by over 1e-9.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
@@ -193,7 +203,7 @@ def binomial_cdf_beta(n: int, p: float, k: int) -> float:
     """Binomial cdf F(k) through the regularized incomplete beta identity.
 
     ``F(k) = I_{1-p}(n - k, 1 + k)``, evaluated by a continued fraction.
-    This route shares nothing with the summation-based ``cdf`` array and
+    This route shares nothing with the summed tail behind ``cdf`` and
     exists to cross-check it.
 
     Raises:
@@ -286,11 +296,10 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
 
     Raises:
         DomainError: if the sequence is empty or any p_i is outside (0, 1].
-        FeasibilityError: if the pmf misses total mass 1 by more than 1e-9.
+        FeasibilityError: if ``n > MAX_N`` or the pmf misses unit mass by over 1e-9.
     """
     probs = [float(p) for p in probabilities]
-    if not probs:
-        raise DomainError("probabilities must be nonempty")
+    _check_n(len(probs))
     for i, p in enumerate(probs):
         if not 0.0 < p <= 1.0:
             raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
@@ -308,8 +317,6 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
 
 def count_distribution(labels: LabelScheme, n: int) -> CountDistribution:
     """Distribution of correct guesses on an n-example task under ``labels``."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     if isinstance(labels, UniformLabels):
         return binomial_distribution(n, labels.p)
     if len(labels.probabilities) != n:

@@ -77,6 +77,7 @@ def simulate_expected_max(config: SimulationConfig) -> SimulationResult:
     spec = config.spec
     base = count_distribution(spec.labels, spec.n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    cdf = base.cdf
     maxima = np.empty(config.trials)
     rows_per_chunk = max(1, _CHUNK_DRAWS // spec.t)
     done = 0
@@ -84,7 +85,7 @@ def simulate_expected_max(config: SimulationConfig) -> SimulationResult:
         rows = min(rows_per_chunk, config.trials - done)
         u = rng.random((rows, spec.t))
         # u in [0, 1) and cdf[n] == 1, so every lookup lands in 0..n.
-        counts = np.searchsorted(base.cdf, u, side="right")
+        counts = np.searchsorted(cdf, u, side="right")
         maxima[done : done + rows] = counts.max(axis=1) / spec.n
         done += rows
     estimate = float(maxima.mean())

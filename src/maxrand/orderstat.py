@@ -3,12 +3,12 @@
 When an experiment evaluates ``t`` prompts (or classifiers, or
 hyperparameter settings) on the same validation set and reports the best
 accuracy, the fair comparison is the best of ``t`` random classifiers,
-not a single one.  The best count among ``t`` iid copies of a count
-``X`` has cdf ``F(k)^t`` and pmf ``F(k)^t - (F(k) - f(k))^t``; its
-expectation over accuracies is the maximum random baseline.  This module
-computes that distribution, the baseline, p-values against both the
-single-classifier and maximum baselines, and the smallest attainable
-accuracies that clear either bar.
+not a single one.  Everything here derives from the stored upper tail
+``S(k) = P(X >= k)`` of one classifier: the best of ``t`` reaches ``k``
+with probability ``1 - (1 - S(k))^t``, whose sum over ``k >= 1`` is ``n``
+times the maximum random baseline.  p-values against both baselines are
+lookups in these tails, and the least accuracies that clear either bar
+are searches over them.
 
 Everything here is a pure function of immutable inputs and is safe to
 call concurrently.
@@ -27,8 +27,9 @@ from .dist import (
     LabelScheme,
     PerExampleLabels,
     UniformLabels,
+    _check_n,
     count_distribution,
-    tail_sums,
+    tail_sums,  # unused here; perfbench/tracing.py wraps orderstat.tail_sums
 )
 from .errors import DomainError
 
@@ -50,8 +51,8 @@ __all__ = [
     "baseline_report",
 ]
 
-# Accuracy on n examples is definitionally k/n; observed values farther
-# than this from every attainable k/n are rejected, never rounded.
+# Accuracy on n examples is definitionally k/n; observed values farther than
+# this, or than a quarter count, from every k/n are rejected, never rounded.
 COUNT_TOLERANCE = 1e-6
 
 # Expectations are computed to ~1e-15; ties at a baseline must not count
@@ -74,8 +75,7 @@ class TaskSpec:
     t: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        _check_n(self.n)
         if self.t < 1:
             raise DomainError(f"t must be >= 1, got {self.t}")
         if isinstance(self.labels, PerExampleLabels) and len(self.labels.probabilities) != self.n:
@@ -124,13 +124,14 @@ def _base_distribution(spec: TaskSpec) -> CountDistribution:
 def accuracy_to_count(n: int, observed: float) -> int:
     """Map an observed accuracy to its integer correct count out of ``n``.
 
-    Rejects values that do not sit within ``COUNT_TOLERANCE`` of some
-    k/n: silently rounding could flip a p-value at a decision boundary.
+    Rejects values farther than ``COUNT_TOLERANCE``, or than a quarter count,
+    from every k/n: silently rounding could flip a p-value at a decision
+    boundary, and at any ``n`` no value between two counts maps to either.
     """
     if not 0.0 <= observed <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {observed}")
     count = round(n * observed)
-    if abs(n * observed - count) > COUNT_TOLERANCE * n:
+    if abs(n * observed - count) > min(COUNT_TOLERANCE * n, 0.25):
         raise DomainError(
             f"accuracy {observed!r} does not correspond to an integer count out of {n}"
         )
@@ -140,18 +141,18 @@ def accuracy_to_count(n: int, observed: float) -> int:
 def max_order_distribution(base: CountDistribution, t: int) -> MaxOrderDistribution:
     """Sample-maximum distribution of ``t`` iid counts drawn from ``base``.
 
-    ``P(max <= k) = F(k)^t`` is evaluated as ``exp(t ln F(k))`` so that
-    large ``t`` keeps full precision, and the pmf is the difference of
-    consecutive cdf values.  ``t = 1`` returns the base arrays unchanged.
+    ``P(max <= k) = (1 - S(k+1))^t`` is evaluated as ``exp(t log1p(-S(k+1)))``
+    so that large ``t`` keeps full precision, and the pmf is the difference
+    of consecutive cdf values.  ``t = 1`` returns the base arrays unchanged.
     """
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     if t == 1:
         pmf_max = base.pmf.copy()
-        cdf_max = base.cdf.copy()
+        cdf_max = base.cdf
     else:
         with np.errstate(divide="ignore"):
-            cdf_max = np.exp(t * np.log(base.cdf))
+            cdf_max = np.exp(t * np.log1p(-np.append(base.sf[1:], 0.0)))
         pmf_max = np.diff(cdf_max, prepend=0.0)
     for array in (pmf_max, cdf_max):
         array.flags.writeable = False
@@ -166,22 +167,23 @@ def expected_standard_accuracy(spec: TaskSpec) -> float:
 def expected_max_accuracy(spec: TaskSpec) -> float:
     """Expected best accuracy among ``t`` random classifiers.
 
-    The maximum random baseline: ``(1/n) * sum_k k * pmf_max[k]``.
+    The maximum random baseline, ``(1/n) sum_{k>=1} (1 - (1 - S(k))^t)``;
+    exactly :func:`expected_standard_accuracy` at ``t = 1``, where the
+    base distribution is still built so an infeasible ``n`` fails at every ``t``.
     """
-    mo = max_order_distribution(_base_distribution(spec), spec.t)
-    counts = np.arange(spec.n + 1, dtype=float)
-    return float(counts @ mo.pmf_max) / spec.n
+    sf = _base_distribution(spec).sf
+    if spec.t == 1:
+        return expected_standard_accuracy(spec)
+    return float(_max_tail(sf[1:], spec.t).sum()) / spec.n
 
 
-def _max_tail(tail: float, t: int) -> float:
-    """P(best of t >= threshold) from the single-classifier tail probability.
-
-    ``1 - (1 - tail)^t`` in expm1/log1p form, which stays accurate both
-    when the tail is near 1 and deep in the upper tail.
-    """
-    if t == 1 or tail <= 0.0 or tail >= 1.0:
-        return min(max(tail, 0.0), 1.0)
-    return -math.expm1(t * math.log1p(-tail))
+def _max_tail(tail, t: int):
+    """P(best of t >= k) = 1 - (1 - S(k))^t from the tail(s) ``S(k)``, in expm1/log1p
+    form, which stays accurate both when the tail is near 1 and deep in the upper tail."""
+    if t == 1:
+        return tail
+    with np.errstate(divide="ignore"):
+        return -np.expm1(t * np.log1p(-tail))
 
 
 def p_value_standard(spec: TaskSpec, observed: float) -> float:
@@ -190,8 +192,7 @@ def p_value_standard(spec: TaskSpec, observed: float) -> float:
     Equals ``1 - F(n*observed - 1)`` with ``F(-1) = 0``; the observed
     accuracy must map to an integer count.
     """
-    count = accuracy_to_count(spec.n, observed)
-    return _base_distribution(spec).tail(count)
+    return _base_distribution(spec).tail(accuracy_to_count(spec.n, observed))
 
 
 def p_value_max(spec: TaskSpec, observed: float) -> float:
@@ -200,16 +201,7 @@ def p_value_max(spec: TaskSpec, observed: float) -> float:
     Equals ``1 - F(n*observed - 1)^t``; coincides with
     :func:`p_value_standard` at ``t = 1``.
     """
-    count = accuracy_to_count(spec.n, observed)
-    return _max_tail(_base_distribution(spec).tail(count), spec.t)
-
-
-def _threshold_count(n: int, accuracy: float) -> int:
-    """Smallest count whose accuracy is >= ``accuracy`` (counts are integers)."""
-    nearest = round(n * accuracy)
-    if abs(n * accuracy - nearest) <= COUNT_TOLERANCE * n:
-        return nearest
-    return math.ceil(n * accuracy)
+    return float(_max_tail(p_value_standard(spec, observed), spec.t))
 
 
 def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
@@ -221,15 +213,16 @@ def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
     """
     if not 0.0 <= accuracy <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {accuracy}")
-    return _base_distribution(spec).tail(_threshold_count(spec.n, accuracy))
+    try:
+        count = accuracy_to_count(spec.n, accuracy)
+    except DomainError:
+        count = math.ceil(spec.n * accuracy)
+    return _base_distribution(spec).tail(count)
 
 
 def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:
     """P(the best of ``t`` random classifiers scores at least ``accuracy``)."""
-    if not 0.0 <= accuracy <= 1.0:
-        raise DomainError(f"accuracy must lie in [0, 1], got {accuracy}")
-    tail = _base_distribution(spec).tail(_threshold_count(spec.n, accuracy))
-    return _max_tail(tail, spec.t)
+    return float(_max_tail(tail_probability_standard(spec, accuracy), spec.t))
 
 
 def min_accuracy_beating_max(spec: TaskSpec) -> float | None:
@@ -240,26 +233,25 @@ def min_accuracy_beating_max(spec: TaskSpec) -> float | None:
     Returns None when no attainable accuracy clears the baseline, which
     requires every example to be guessed correctly with certainty.
     """
-    target = expected_max_accuracy(spec)
-    for k in range(spec.n + 1):
-        if k / spec.n > target + _TIE_GUARD:
-            return k / spec.n
-    return None
+    bar = expected_max_accuracy(spec) + _TIE_GUARD
+    # n * bar is rounded, so its floor is the answer or one below it.
+    k = math.floor(spec.n * bar)
+    if k / spec.n <= bar:
+        k += 1
+    return k / spec.n if k <= spec.n else None
 
 
 def min_accuracy_at_significance(spec: TaskSpec, alpha: float) -> float | None:
     """Least attainable accuracy whose max-baseline p-value is below ``alpha``.
 
-    Monotone scan over counts (the p-value is nonincreasing in the
-    count); None when even a perfect score is not significant.
+    The first count where the (nonincreasing) p-value drops below
+    ``alpha``; None when even a perfect score is not significant.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    tails = tail_sums(_base_distribution(spec).pmf)
-    for k in range(spec.n + 1):
-        if _max_tail(float(tails[k]), spec.t) < alpha:
-            return k / spec.n
-    return None
+    significant = _max_tail(_base_distribution(spec).sf, spec.t) < alpha
+    k = int(np.argmax(significant))
+    return k / spec.n if significant[k] else None
 
 
 def baseline_report(spec: TaskSpec, observed_accuracy: float | None = None) -> BaselineReport:
@@ -268,13 +260,12 @@ def baseline_report(spec: TaskSpec, observed_accuracy: float | None = None) -> B
     expected_max = expected_max_accuracy(spec)
     if observed_accuracy is None:
         return BaselineReport(spec, expected_standard, expected_max)
-    count = accuracy_to_count(spec.n, observed_accuracy)
-    tail = _base_distribution(spec).tail(count)
+    tail = p_value_standard(spec, observed_accuracy)
     return BaselineReport(
         spec=spec,
         expected_standard=expected_standard,
         expected_max=expected_max,
         observed_accuracy=observed_accuracy,
         p_standard=tail,
-        p_max=_max_tail(tail, spec.t),
+        p_max=float(_max_tail(tail, spec.t)),
     )

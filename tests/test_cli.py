@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import maxrand.dist as dist_mod
 from maxrand import PerExampleLabels, TaskSpec, enumerate_max_pmf
 from maxrand.cli import main
 
@@ -37,6 +38,16 @@ CURVE_JSONL = (
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def no_pmf_builds(monkeypatch):
+    """Fail at once, instead of exhausting memory, if a binomial pmf is built."""
+
+    def must_not_run(size):
+        raise AssertionError(f"log-factorials up to {size} were built")
+
+    monkeypatch.setattr(dist_mod, "_log_factorials", must_not_run)
 
 
 def rows(output: str) -> list[dict]:
@@ -184,6 +195,13 @@ class TestGridCommand:
         result = runner.invoke(main, ["grid", "--n", "3,4", "--t", "1", "--labels", "2;3;4"])
         assert result.exit_code == 2
 
+    # Rejected before any axis is built: 10^10 log-spaced points would take 80 GB.
+    @pytest.mark.parametrize("axis", ["1:1000001", "10:1000:1000001", "10:1000:10000000000"])
+    def test_axis_over_a_million_points_exits_2(self, runner, axis):
+        result = runner.invoke(main, ["grid", "--n", axis, "--t", "1", "--m", "2"])
+        assert result.exit_code == 2
+        assert "over 10^6 points" in result.stderr
+
 
 class TestAuditCommand:
     def test_verdicts_and_summary(self, runner, tmp_path):
@@ -265,6 +283,16 @@ class TestAuditCommand:
         result = runner.invoke(main, ["audit", str(path)])
         assert result.exit_code == 2
         assert f"error: row 2, field {field}: {field} must be an integer" in result.stderr
+        assert result.stdout == ""
+
+    def test_n_above_the_supported_bound_is_a_row_error(self, runner, tmp_path, no_pmf_builds):
+        record = {"id": "r", "model": "m", "dataset": "d", "n": 10**24, "labels": 2, "t": 3,
+                  "observed_max_accuracy": 0.5}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, ["audit", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: row 1: n={10**24} exceeds the largest")
         assert result.stdout == ""
 
     def test_out_flag_writes_the_file(self, runner, tmp_path):
@@ -351,6 +379,13 @@ class TestDeterminismAndErrors:
     def test_validation_error_exit_code(self, runner):
         result = runner.invoke(main, ["baseline", "--n", "0", "--m", "2", "--t", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["baseline", "threshold", "simulate"])
+    def test_n_above_the_supported_bound_exits_3(self, runner, no_pmf_builds, command):
+        extra = ["--trials", "10", "--seed", "1"] if command == "simulate" else []
+        result = runner.invoke(main, [command, "--n", str(10**24), "--m", "2", "--t", "1", *extra])
+        assert result.exit_code == 3
+        assert result.stderr.startswith(f"error: n={10**24} exceeds the largest supported n")
 
     def test_numeric_error_exit_code(self, runner, monkeypatch):
         import maxrand.cli as cli_mod

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import maxrand.dist as dist_mod
 from maxrand import (
     DomainError,
+    FeasibilityError,
     PerExampleLabels,
     UniformLabels,
     binomial_cdf_beta,
@@ -47,6 +49,8 @@ class TestBinomialDistribution:
         assert abs(math.fsum(dist.pmf) - 1.0) < 1e-10
         assert dist.cdf[n] == 1.0
         assert np.all(np.diff(dist.cdf) >= 0)
+        assert dist.sf[0] == 1.0
+        assert np.all(np.diff(dist.sf) <= 0)
         assert np.all(dist.pmf >= 0)
         positive = dist.pmf > 1e-300
         assert_allclose(
@@ -65,6 +69,16 @@ class TestBinomialDistribution:
             binomial_distribution(10, -0.1)
         with pytest.raises(DomainError):
             binomial_distribution(10, 1.1)
+
+    @pytest.mark.parametrize("n", [dist_mod.MAX_N + 1, 10**24])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_rejects_n_above_the_bound_before_allocating(self, monkeypatch, n, p):
+        def must_not_run(size):
+            raise AssertionError(f"log-factorials up to {size} were built")
+
+        monkeypatch.setattr(dist_mod, "_log_factorials", must_not_run)
+        with pytest.raises(FeasibilityError, match="exceeds the largest supported n"):
+            binomial_distribution(n, p)
 
     def test_tail_is_upper_sum(self):
         dist = binomial_distribution(12, 0.4)

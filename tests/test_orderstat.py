@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import maxrand.orderstat as orderstat_mod
 from maxrand import (
     DomainError,
     PerExampleLabels,
@@ -77,8 +78,10 @@ class TestExpectedMaxAccuracy:
         assert abs(value - 0.575) <= 0.005
 
     def test_t_one_equals_success_probability(self):
-        value = expected_max_accuracy(TaskSpec.uniform(37, 4, 1))
-        assert abs(value - 0.25) < 1e-12
+        for n in (7, 37, 50, 300, 2000, 20000):
+            for m in (2, 3, 4, 7, 10):
+                spec = TaskSpec.uniform(n, m, 1)
+                assert expected_max_accuracy(spec) == expected_standard_accuracy(spec) == 1.0 / m
 
     def test_two_examples_two_classifiers(self):
         # (0*1/16 + 1*8/16 + 2*7/16) / 2 = 11/16 from the 16-outcome enumeration
@@ -105,7 +108,7 @@ class TestExpectedMaxAccuracy:
     def test_per_example_scheme_at_t_one(self):
         labels = PerExampleLabels.from_label_counts([2, 3, 3, 5, 4])
         spec = TaskSpec(n=5, labels=labels, t=1)
-        assert abs(expected_max_accuracy(spec) - labels.expected_accuracy()) < 1e-12
+        assert expected_max_accuracy(spec) == labels.expected_accuracy()
 
     def test_per_example_scheme_against_enumeration(self):
         labels = PerExampleLabels.from_label_counts([2, 3, 4])
@@ -219,8 +222,11 @@ class TestAccuracyToCount:
         assert accuracy_to_count(1, 1.0) == 1
 
     def test_rejects_between_counts(self):
-        with pytest.raises(DomainError):
-            accuracy_to_count(100, 0.503)
+        # At n = 2e6 an accuracy window of 1e-6 spans two counts either side;
+        # the window must stay below half a count, so 1000.4 counts is no count.
+        for n, accuracy in ((100, 0.503), (2_000_000, 1000.4 / 2e6)):
+            with pytest.raises(DomainError):
+                accuracy_to_count(n, accuracy)
 
 
 class TestTailProbabilities:
@@ -235,6 +241,22 @@ class TestTailProbabilities:
         # P(X/4 >= 0.3) = P(X >= 2) = 1 - (1 + 4) / 16
         assert abs(tail_probability_standard(spec, 0.3) - 0.6875) < 1e-12
         assert tail_probability_standard(spec, 0.3) == p_value_standard(spec, 0.5)
+
+    @pytest.mark.parametrize(
+        "n, accuracy, count",
+        [(4, 0.3, 2), (10**6, 0.3000001, 300000), (10**6, 0.3000004, 300001)],
+    )
+    def test_looks_up_the_ceiling_count(self, monkeypatch, n, accuracy, count):
+        looked_up = []
+
+        class Recorder:
+            def tail(self, k):
+                looked_up.append(k)
+                return 0.5
+
+        monkeypatch.setattr(orderstat_mod, "_base_distribution", lambda spec: Recorder())
+        tail_probability_standard(TaskSpec.uniform(n, 2, 1), accuracy)
+        assert looked_up == [count]
 
     def test_rejects_outside_unit_interval(self):
         spec = TaskSpec.uniform(4, 2, 1)
@@ -304,7 +326,7 @@ class TestTaskSpecAndReport:
 
     def test_report_equality_of_baselines_at_t_one(self):
         report = baseline_report(TaskSpec.uniform(37, 4, 1))
-        assert abs(report.expected_max - report.expected_standard) < 1e-12
+        assert report.expected_max == report.expected_standard
 
     def test_expected_standard_accuracy(self):
         assert expected_standard_accuracy(TaskSpec.uniform(10, 4, 3)) == 0.25
