@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import click
@@ -43,16 +44,22 @@ _VALIDATION_EXIT = 2
 _NUMERIC_EXIT = 3
 
 
+def _write(stream, text: str) -> None:
+    # Not click.echo: click keeps a never-freed entry per redirected stream.
+    stream.write(text)
+    stream.flush()
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (FeasibilityError, ConvergenceError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _write(sys.stderr, f"error: {exc}\n")
             raise SystemExit(_NUMERIC_EXIT)
         except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _write(sys.stderr, f"error: {exc}\n")
             raise SystemExit(_VALIDATION_EXIT)
 
     return wrapper
@@ -111,7 +118,7 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
     else:
         text = "\n".join(_csv_block(header, rows) for _, header, rows in sections)
     if out is None:
-        click.echo(text, nl=False)
+        _write(sys.stdout, text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -414,11 +421,11 @@ def _load_records_strict(input_path: str, input_format: str | None):
     loaded = audit_mod.read_records(input_path, format=input_format)
     for record in loaded.records:
         for warning in record.warnings:
-            click.echo(f"warning: {warning}", err=True)
+            _write(sys.stderr, f"warning: {warning}\n")
     if loaded.errors:
         for error in loaded.errors:
             location = f"row {error.row}" + (f", field {error.field}" if error.field else "")
-            click.echo(f"error: {location}: {error.message}", err=True)
+            _write(sys.stderr, f"error: {location}: {error.message}\n")
         raise SystemExit(_VALIDATION_EXIT)
     if not loaded.records:
         raise DomainError("input contains no records")

@@ -6,7 +6,8 @@ same ``m`` labels on every example, ``X`` is Binomial(n, 1/m); when the
 number of labels varies per example, ``X`` is Poisson binomial.  Both
 are computed exactly: pmfs in log space via log-gamma (finite for ``n``
 in the thousands), then the upper tail ``S(k) = P(X >= k)`` by one
-compensated summation per build, from which the cdf is derived, plus an
+vectorised suffix sum per build, compensated with the error-free TwoSum
+transformation, from which the cdf and the log-pmf are derived, plus an
 independent regularized-incomplete-beta binomial cdf as a cross-check.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ __all__ = [
     "tail_sums",
 ]
 
-# Largest n built: a distribution holds three float64 arrays of n + 1 entries.
+# Largest n built: a distribution holds two float64 arrays of n + 1 entries.
 MAX_N = 10**7
 
 
@@ -97,21 +97,28 @@ LabelScheme = UniformLabels | PerExampleLabels
 class CountDistribution:
     """Exact distribution of a correct-guess count on 0..n.
 
-    ``pmf``, ``sf`` and ``log_pmf`` are read-only parallel arrays of
-    length ``n + 1`` indexed by the count ``k``.  ``sf[k] = P(X >= k)`` is
-    nonincreasing with ``sf[0] == 1.0`` exactly (any mass the pmf misses
-    sits at count 0), and ``log_pmf`` may contain ``-inf`` where it is zero.
+    ``pmf`` and ``sf`` are read-only parallel arrays of length ``n + 1``
+    indexed by the count ``k``.  ``sf[k] = P(X >= k)`` is nonincreasing
+    with ``sf[0] == 1.0`` exactly (any mass the pmf misses sits at count 0).
+    ``cdf`` and ``log_pmf`` are derived from them on each access.
     """
 
     n: int
     pmf: np.ndarray
     sf: np.ndarray
-    log_pmf: np.ndarray
 
     @property
     def cdf(self) -> np.ndarray:
         """P(X <= k) = 1 - S(k + 1), nondecreasing with ``cdf[n] == 1.0``."""
         return np.append(1.0 - self.sf[1:], 1.0)
+
+    @property
+    def log_pmf(self) -> np.ndarray:
+        """log P(X = k), read-only; ``-inf`` wherever ``pmf`` is zero or has underflowed."""
+        with np.errstate(divide="ignore"):
+            out = np.log(self.pmf)
+        out.flags.writeable = False
+        return out
 
     def tail(self, k: int) -> float:
         """P(X >= k), looked up in ``sf``."""
@@ -123,23 +130,34 @@ class CountDistribution:
 
 
 def tail_sums(pmf: np.ndarray) -> np.ndarray:
-    """P(X >= k) for every k: Kahan sums of ``pmf`` from the top down, capped at 1."""
-    # Allocate the kept array before the temporary list: the other order
+    """P(X >= k) for every k: compensated suffix sums of ``pmf``, capped at 1.
+
+    ``cumsum`` adds the pmf from the top down; the exact rounding error of
+    each step (TwoSum; Ogita, Rump & Oishi 2005, "Accurate sum and dot
+    product") is accumulated by a second ``cumsum`` and added back, which
+    gives every suffix sum as if carried in twice the working precision.
+    """
+    # Allocate the kept array before the temporaries: the other order
     # fragments the heap over many builds and raises peak memory.
     tails = np.empty(len(pmf))
-    values = pmf.tolist()
-    total = carry = 0.0
-    for k in range(len(values) - 1, -1, -1):
-        y = values[k] - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-        tails[k] = total
+    partial = tails[::-1]
+    addend = pmf[::-1]
+    np.cumsum(addend, out=partial)
+    # TwoSum of partial[i] = partial[i-1] + addend[i]: with
+    # b' = partial[i] - partial[i-1] and a' = partial[i] - b', the error is
+    # (partial[i-1] - a') + (addend[i] - b').
+    error = np.subtract(partial[1:], partial[:-1])
+    other = np.subtract(partial[1:], error)
+    np.subtract(partial[:-1], other, out=other)
+    np.subtract(addend[1:], error, out=error)
+    error += other
+    np.cumsum(error, out=error)
+    partial[1:] += error
     np.minimum(tails, 1.0, out=tails)
     return tails
 
 
-def _finalize(n: int, pmf: np.ndarray, log_pmf: np.ndarray) -> CountDistribution:
+def _finalize(n: int, pmf: np.ndarray) -> CountDistribution:
     sf = tail_sums(pmf)
     deficit = 1.0 - float(sf[0])
     if not abs(deficit) < 1e-9:
@@ -147,12 +165,13 @@ def _finalize(n: int, pmf: np.ndarray, log_pmf: np.ndarray) -> CountDistribution
             f"the count distribution for n={n} misses a probability mass of {deficit:.3g} "
             "(more than 1e-9); it cannot be computed exactly at this n"
         )
-    # Kahan partial sums can dip by an ulp; the tail must be nonincreasing.
+    # Rounding each suffix sum of a nonnegative pmf keeps S nonincreasing,
+    # but the compensation is not proved to round every index; S must not rise.
     np.maximum.accumulate(sf[::-1], out=sf[::-1])
     sf[0] = 1.0
-    for array in (pmf, sf, log_pmf):
+    for array in (pmf, sf):
         array.flags.writeable = False
-    return CountDistribution(n=n, pmf=pmf, sf=sf, log_pmf=log_pmf)
+    return CountDistribution(n=n, pmf=pmf, sf=sf)
 
 
 def _check_n(n: int) -> None:
@@ -163,11 +182,25 @@ def _check_n(n: int) -> None:
         raise FeasibilityError(f"n={n} exceeds the largest supported n, {MAX_N}")
 
 
-@lru_cache(maxsize=64)
+# log(k!) for k = 0, 1, ...: one read-only table, grown to the largest n asked for.
+_log_factorial_table = np.zeros(0)
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    out = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    out.flags.writeable = False
-    return out
+    """log(k!) for k = 0..n, read-only, as a slice of the shared table.
+
+    Two threads may grow the table at once; both compute the same values,
+    so whichever table is kept is correct.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if len(table) <= n:
+        grown = np.empty(n + 1)
+        grown[: len(table)] = table
+        grown[len(table) :] = [math.lgamma(i + 1.0) for i in range(len(table), n + 1)]
+        grown.flags.writeable = False
+        _log_factorial_table = table = grown
+    return table[: n + 1]
 
 
 def binomial_distribution(n: int, p: float) -> CountDistribution:
@@ -195,8 +228,7 @@ def binomial_distribution(n: int, p: float) -> CountDistribution:
         ks = np.arange(n + 1)
         rev = ks[::-1]
         log_pmf = lf[n] - lf[ks] - lf[rev] + ks * math.log(p) + rev * math.log1p(-p)
-    pmf = np.exp(log_pmf)
-    return _finalize(n, pmf, log_pmf)
+    return _finalize(n, np.exp(log_pmf))
 
 
 def binomial_cdf_beta(n: int, p: float, k: int) -> float:
@@ -306,13 +338,12 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
     n = len(probs)
     pmf = np.zeros(n + 1)
     pmf[0] = 1.0
+    moved = np.empty(n)
     for i, p in enumerate(probs, start=1):
-        head = pmf[:i].copy()
-        pmf[:i] = head * (1.0 - p)
-        pmf[1 : i + 1] += head * p
-    with np.errstate(divide="ignore"):
-        log_pmf = np.log(pmf)
-    return _finalize(n, pmf, log_pmf)
+        np.multiply(pmf[:i], p, out=moved[:i])
+        pmf[:i] *= 1.0 - p
+        pmf[1 : i + 1] += moved[:i]
+    return _finalize(n, pmf)
 
 
 def count_distribution(labels: LabelScheme, n: int) -> CountDistribution:

@@ -11,14 +11,19 @@ lookups in these tails, and the least accuracies that clear either bar
 are searches over them.
 
 Everything here is a pure function of immutable inputs and is safe to
-call concurrently.
+call concurrently.  (Builds in two threads may grow ``dist``'s shared
+log-factorial table at once; the race is benign, as both compute the
+same values.)
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +64,11 @@ COUNT_TOLERANCE = 1e-6
 # as beating it.  Attainable accuracies are spaced 1/n apart, so this
 # guard cannot skip a genuinely higher value.
 _TIE_GUARD = 1e-9
+
+# The base-distribution cache holds at most this many bytes of arrays.  A
+# task's entry is 16 * (n + 1) bytes, so 128 MiB keeps 400 tasks of
+# n = 20000, or eight of n = 10^6.
+_BASE_CACHE_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -116,9 +126,70 @@ class BaselineReport:
     p_max: float | None = None
 
 
-@lru_cache(maxsize=256)
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "entries", "nbytes", "max_bytes"])
+
+
+def _lru_by_bytes(max_bytes: int):
+    """Like ``functools.lru_cache``, but bounded by the bytes of the cached distributions.
+
+    Entries range from 32 bytes to 160 MB (n up to ``MAX_N``), so a bound
+    on their number bounds neither memory nor how many tasks stay cached.
+    The newest entry always stays, even when it alone exceeds the bound.
+    A build runs outside the lock; two threads that miss on the same key
+    both build it, and the first result to finish stays cached.
+    """
+
+    def decorate(build):
+        entries: OrderedDict = OrderedDict()  # key -> (value, nbytes), oldest first
+        lock = threading.Lock()
+        hits = misses = held = 0
+
+        @functools.wraps(build)
+        def cached(key):
+            nonlocal hits, misses, held
+            with lock:
+                found = entries.get(key)
+                if found is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+                    return found[0]
+                misses += 1
+            value = build(key)
+            size = value.pmf.nbytes + value.sf.nbytes
+            with lock:
+                if key not in entries:
+                    entries[key] = (value, size)
+                    held += size
+                    while held > max_bytes and len(entries) > 1:
+                        held -= entries.popitem(last=False)[1][1]
+            return value
+
+        def cache_info() -> _CacheInfo:
+            with lock:
+                return _CacheInfo(hits, misses, len(entries), held, max_bytes)
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, held
+            with lock:
+                entries.clear()
+                hits = misses = held = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_lru_by_bytes(_BASE_CACHE_BYTES)
 def _base_distribution(spec: TaskSpec) -> CountDistribution:
+    # Called with t = 1 specs only (see _base), so the key is the task.
     return count_distribution(spec.labels, spec.n)
+
+
+def _base(spec: TaskSpec) -> CountDistribution:
+    """One classifier's count distribution for ``spec``'s task, cached once for every t."""
+    return _base_distribution(spec if spec.t == 1 else dataclasses.replace(spec, t=1))
 
 
 def accuracy_to_count(n: int, observed: float) -> int:
@@ -171,7 +242,7 @@ def expected_max_accuracy(spec: TaskSpec) -> float:
     exactly :func:`expected_standard_accuracy` at ``t = 1``, where the
     base distribution is still built so an infeasible ``n`` fails at every ``t``.
     """
-    sf = _base_distribution(spec).sf
+    sf = _base(spec).sf
     if spec.t == 1:
         return expected_standard_accuracy(spec)
     return float(_max_tail(sf[1:], spec.t).sum()) / spec.n
@@ -192,7 +263,7 @@ def p_value_standard(spec: TaskSpec, observed: float) -> float:
     Equals ``1 - F(n*observed - 1)`` with ``F(-1) = 0``; the observed
     accuracy must map to an integer count.
     """
-    return _base_distribution(spec).tail(accuracy_to_count(spec.n, observed))
+    return _base(spec).tail(accuracy_to_count(spec.n, observed))
 
 
 def p_value_max(spec: TaskSpec, observed: float) -> float:
@@ -217,7 +288,7 @@ def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
         count = accuracy_to_count(spec.n, accuracy)
     except DomainError:
         count = math.ceil(spec.n * accuracy)
-    return _base_distribution(spec).tail(count)
+    return _base(spec).tail(count)
 
 
 def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:
@@ -249,7 +320,7 @@ def min_accuracy_at_significance(spec: TaskSpec, alpha: float) -> float | None:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    significant = _max_tail(_base_distribution(spec).sf, spec.t) < alpha
+    significant = _max_tail(_base(spec).sf, spec.t) < alpha
     k = int(np.argmax(significant))
     return k / spec.n if significant[k] else None
 

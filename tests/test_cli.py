@@ -1,5 +1,9 @@
+import gc
+import io
 import json
 import os
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +416,24 @@ class TestDeterminismAndErrors:
         assert result.returncode == 3
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and "n=952000" in result.stderr
+
+    def test_in_process_calls_release_their_redirected_streams(self):
+        buffers = []
+        for i in range(200):
+            buffer = io.StringIO()
+            with redirect_stdout(buffer), redirect_stderr(buffer):
+                if i % 2:
+                    with pytest.raises(SystemExit):
+                        main(["baseline", "--n", "0", "--m", "2", "--t", "1"],
+                             standalone_mode=False)
+                else:
+                    main(["baseline", "--n", "100", "--m", "2", "--t", str(i + 1)],
+                         standalone_mode=False)
+            assert buffer.getvalue()
+            buffers.append(weakref.ref(buffer))
+            del buffer
+        gc.collect()
+        assert [ref for ref in buffers if ref() is not None] == []
 
     def test_json_and_csv_agree(self, runner):
         args = ["baseline", "--n", "100", "--m", "2", "--t", "10"]

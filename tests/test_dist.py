@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import maxrand.dist as dist_mod
 from maxrand import (
@@ -18,6 +18,7 @@ from maxrand import (
     count_distribution,
     poisson_binomial_distribution,
 )
+from maxrand.dist import tail_sums
 from oracles import bernoulli_enumeration_pmf, exact_binomial_pmf
 
 
@@ -79,6 +80,24 @@ class TestBinomialDistribution:
         monkeypatch.setattr(dist_mod, "_log_factorials", must_not_run)
         with pytest.raises(FeasibilityError, match="exceeds the largest supported n"):
             binomial_distribution(n, p)
+
+    def test_log_pmf_is_derived_from_the_pmf(self):
+        dist = binomial_distribution(2000, 0.5)
+        assert dist.pmf[0] == 0.0  # 2**-2000 underflows
+        assert dist.log_pmf[0] == -np.inf
+        with np.errstate(divide="ignore"):
+            assert_array_equal(dist.log_pmf, np.log(dist.pmf))
+        with pytest.raises(ValueError):
+            dist.log_pmf[1000] = 0.0
+
+    def test_log_factorials_are_slices_of_one_table(self):
+        small = dist_mod._log_factorials(30)
+        large = dist_mod._log_factorials(3000)
+        assert small.tolist() == [math.lgamma(i + 1.0) for i in range(31)]
+        assert large.tolist() == [math.lgamma(i + 1.0) for i in range(3001)]
+        assert np.shares_memory(dist_mod._log_factorials(30), large)
+        with pytest.raises(ValueError):
+            large[0] = 1.0
 
     def test_tail_is_upper_sum(self):
         dist = binomial_distribution(12, 0.4)
@@ -162,6 +181,16 @@ class TestPoissonBinomial:
         assert_allclose(pb.pmf, binom.pmf, atol=1e-12)
         assert_allclose(pb.cdf, binom.cdf, atol=1e-12)
 
+    def test_dynamic_program_bytes_match_the_copying_loop(self):
+        probs = [1.0 / (2 + (7 * i) % 9) for i in range(3000)]
+        reference = np.zeros(len(probs) + 1)
+        reference[0] = 1.0
+        for i, p in enumerate(probs, start=1):
+            head = reference[:i].copy()
+            reference[:i] = head * (1.0 - p)
+            reference[1 : i + 1] += head * p
+        assert np.array_equal(poisson_binomial_distribution(probs).pmf, reference)
+
     def test_rejects_zero_probability_and_empty(self):
         with pytest.raises(DomainError):
             poisson_binomial_distribution([0.5, 0.0])
@@ -169,6 +198,38 @@ class TestPoissonBinomial:
             poisson_binomial_distribution([])
         with pytest.raises(DomainError):
             poisson_binomial_distribution([0.5, 1.2])
+
+
+def _exact_suffix_sums(pmf) -> list[float]:
+    """Every suffix sum of ``pmf`` in exact rational arithmetic, rounded once, capped at 1."""
+    total = Fraction(0)
+    out = []
+    for value in reversed(pmf.tolist()):
+        total += Fraction(value)
+        out.append(min(float(total), 1.0))
+    return out[::-1]
+
+
+class TestTailSums:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: binomial_distribution(10**5, 0.1).pmf,
+            lambda: binomial_distribution(3 * 10**5, 0.5).pmf,
+            lambda: poisson_binomial_distribution(
+                [1.0 / (2 + (7 * i) % 9) for i in range(5000)]
+            ).pmf,
+        ],
+        ids=["binomial-1e5-0.1", "binomial-3e5-0.5", "poisson-binomial-5000"],
+    )
+    def test_every_suffix_sum_is_exactly_rounded(self, build):
+        pmf = build()
+        assert tail_sums(pmf).tolist() == _exact_suffix_sums(pmf)
+
+    def test_small_inputs(self):
+        assert tail_sums(np.array([0.25, 0.5, 0.25])).tolist() == [1.0, 0.75, 0.25]
+        assert tail_sums(np.array([1.0])).tolist() == [1.0]
+        assert tail_sums(np.array([])).tolist() == []
 
 
 class TestLabelSchemes:

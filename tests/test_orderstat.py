@@ -11,6 +11,7 @@ from maxrand import (
     DomainError,
     PerExampleLabels,
     TaskSpec,
+    UniformLabels,
     accuracy_to_count,
     baseline_report,
     binomial_distribution,
@@ -127,6 +128,62 @@ class TestExpectedMaxAccuracy:
             expected_max_accuracy(TaskSpec(n=6, labels=labels, t=t)) for t in (1, 2, 5, 50)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "n, labels",
+        [
+            (2000, UniformLabels(2)),
+            (300, PerExampleLabels.from_label_counts([2 + (7 * i) % 9 for i in range(300)])),
+        ],
+        ids=["uniform", "per-example"],
+    )
+    def test_one_base_build_serves_every_t(self, monkeypatch, n, labels):
+        builds = []
+
+        def counting(labels, n):
+            builds.append((labels, n))
+            return count_distribution(labels, n)
+
+        monkeypatch.setattr(orderstat_mod, "count_distribution", counting)
+        orderstat_mod._base_distribution.cache_clear()
+        for t in (1, 10, 100):
+            expected_max_accuracy(TaskSpec(n=n, labels=labels, t=t))
+        info = orderstat_mod._base_distribution.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert builds == [(labels, n)]
+
+    def test_base_cache_keeps_more_small_tasks_than_it_used_to_count(self):
+        # The cache used to hold 256 entries whatever their size; 300 small
+        # tasks fit in its byte bound, so a second pass over them only hits.
+        orderstat_mod._base_distribution.cache_clear()
+        specs = [TaskSpec.uniform(n, 2, 1) for n in range(10, 310)]
+        for _ in range(2):
+            for spec in specs:
+                expected_max_accuracy(spec)
+        info = orderstat_mod._base_distribution.cache_info()
+        assert (info.misses, info.hits, info.entries) == (300, 300, 300)
+        assert info.nbytes == sum(16 * (spec.n + 1) for spec in specs)
+        orderstat_mod._base_distribution.cache_clear()
+        assert orderstat_mod._base_distribution.cache_info()[:4] == (0, 0, 0, 0)
+
+    def test_byte_bound_evicts_least_recently_used_and_keeps_the_newest(self):
+        built = []
+
+        def build(n):
+            built.append(n)
+            return count_distribution(UniformLabels(2), n)
+
+        cached = orderstat_mod._lru_by_bytes(16 * (3 + 4 + 5))(build)  # n = 2, 3, 4 fit
+        for n in (2, 3, 4, 2, 5):  # the hit on 2 makes 3 the oldest; 5 evicts it, then 4
+            cached(n)
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.entries, info.nbytes) == (1, 4, 2, 16 * (3 + 6))
+        cached(2)
+        cached(3)
+        assert built == [2, 3, 4, 5, 3]
+        cached(100)  # larger than the whole bound: it stays, alone
+        assert cached.cache_info()[2:4] == (1, 16 * 101)
+        assert cached(100) is cached(100)
 
 
 class TestPValues:
