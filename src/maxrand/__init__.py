@@ -22,6 +22,7 @@ from .audit import (
     categorize_observation,
     classify,
     empirical_expected_max,
+    empirical_expected_maxima,
     evaluate_prediction,
     pr_points,
     read_records,
@@ -50,6 +51,7 @@ from .orderstat import (
     TaskSpec,
     accuracy_to_count,
     baseline_report,
+    expected_max_accuracies,
     expected_max_accuracy,
     expected_standard_accuracy,
     max_order_distribution,
@@ -95,8 +97,10 @@ __all__ = [
     "classify",
     "count_distribution",
     "empirical_expected_max",
+    "empirical_expected_maxima",
     "enumerate_max_pmf",
     "evaluate_prediction",
+    "expected_max_accuracies",
     "expected_max_accuracy",
     "expected_standard_accuracy",
     "max_order_distribution",

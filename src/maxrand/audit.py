@@ -38,6 +38,7 @@ __all__ = [
     "RowError",
     "LoadResult",
     "empirical_expected_max",
+    "empirical_expected_maxima",
     "categorize_observation",
     "classify",
     "aggregate",
@@ -79,7 +80,8 @@ class ExperimentRecord:
 
     def __post_init__(self) -> None:
         # TaskSpec construction validates n, t and the labels length.
-        spec = self.spec()
+        spec = TaskSpec(n=self.n, labels=self.labels, t=self.t)
+        object.__setattr__(self, "_spec", spec)
         accuracy_to_count(spec.n, self.observed_max_accuracy)
         if self.per_prompt_accuracies is not None:
             if len(self.per_prompt_accuracies) == 0:
@@ -108,7 +110,7 @@ class ExperimentRecord:
             raise DomainError(f"record {self.id!r}: heldout_n without heldout_accuracy")
 
     def spec(self) -> TaskSpec:
-        return TaskSpec(n=self.n, labels=self.labels, t=self.t)
+        return self._spec
 
 
 @dataclass(frozen=True)
@@ -233,15 +235,21 @@ def empirical_expected_max(accuracies: Sequence[float], t: int) -> float:
     values: the sample mean at ``t = 1``, approaching the sample maximum
     as ``t`` grows.
     """
+    return empirical_expected_maxima(accuracies, [t])[0]
+
+
+def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) -> list[float]:
+    """:func:`empirical_expected_max` at each ``t`` in ``ts``, sorting the sample once."""
     if len(accuracies) == 0:
         raise DomainError("accuracies must be nonempty")
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
+    for t in ts:
+        if t < 1:
+            raise DomainError(f"t must be >= 1, got {t}")
     values = np.asarray(accuracies, dtype=float)
     distinct, counts = np.unique(values, return_counts=True)
     at_most = np.cumsum(counts) / values.size
     below = at_most - counts / values.size
-    return float(distinct @ (at_most**t - below**t))
+    return [float(distinct @ (at_most**t - below**t)) for t in ts]
 
 
 def categorize_observation(observed: float, expected_standard: float, expected_max: float) -> str:
@@ -441,9 +449,29 @@ _REQUIRED_FIELDS = ("id", "model", "dataset", "n", "labels", "t", "observed_max_
 
 def parse_label_counts(text: str) -> PerExampleLabels:
     """Per-example label counts written ``2;3;4``; a single count is one example."""
-    return PerExampleLabels.from_label_counts(
-        [_parse_int(part, "labels") for part in text.split(";")]
-    )
+    return _label_counts(text.split(";"))
+
+
+def _label_counts(values: Sequence[object]) -> PerExampleLabels:
+    """Per-example scheme from counts each read as :func:`_parse_int` reads them.
+
+    A list of plain ints goes on as it is, and strings are read by
+    ``int()`` in one pass (it strips whitespace, as ``_parse_int`` does).
+    Anything else (bools, floats, bad strings) goes count by count, so
+    the error names the first bad count as before.
+    """
+    kinds = set(map(type, values))
+    counts = None
+    if kinds == {int}:
+        counts = values
+    elif kinds == {str}:
+        try:
+            counts = list(map(int, values))
+        except ValueError:
+            pass
+    if counts is None:
+        counts = [_parse_int(value, "labels") for value in values]
+    return PerExampleLabels.from_label_counts(counts)
 
 
 def _parse_labels(value: object) -> LabelScheme:
@@ -452,7 +480,7 @@ def _parse_labels(value: object) -> LabelScheme:
     if isinstance(value, int):
         return UniformLabels(value)
     if isinstance(value, (list, tuple)):
-        return PerExampleLabels.from_label_counts([_parse_int(c, "labels") for c in value])
+        return _label_counts(value)
     if isinstance(value, str):
         text = value.strip()
         if ";" in text:

@@ -30,8 +30,10 @@ from .errors import ConvergenceError, DomainError, FeasibilityError
 from .oracle import SimulationConfig, simulate_expected_max
 from .orderstat import (
     TaskSpec,
+    expected_max_accuracies,
     expected_max_accuracy,
     expected_standard_accuracy,
+    max_tail,
     min_accuracy_at_significance,
     min_accuracy_beating_max,
     p_value_max,
@@ -286,15 +288,14 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha, fmt, out) -> None:
         raise DomainError("--quantity threshold requires --alpha")
     rows = []
     for n in ns:
-        for t in ts:
-            spec = TaskSpec(n=n, labels=scheme, t=t)
-            if quantity == "expected_max":
-                value = expected_max_accuracy(spec)
-            elif quantity == "p_value":
-                value = tail_probability_max(spec, acc)
-            else:
-                value = min_accuracy_at_significance(spec, alpha)
-            rows.append([n, t, value])
+        if quantity == "expected_max":
+            values = expected_max_accuracies(TaskSpec(n=n, labels=scheme, t=1), ts).tolist()
+        elif quantity == "p_value":
+            values = [tail_probability_max(TaskSpec(n=n, labels=scheme, t=t), acc) for t in ts]
+        else:
+            values = [min_accuracy_at_significance(TaskSpec(n=n, labels=scheme, t=t), alpha)
+                      for t in ts]
+        rows += [[n, t, value] for t, value in zip(ts, values)]
     _emit_sections([(None, ["n", "t", "value"], rows)], fmt, out)
 
 
@@ -384,7 +385,8 @@ def curve(input_path, input_format, t_axis, fmt, out) -> None:
     """Empirical expected-max curve next to the maximum baseline, per record.
 
     Every record must carry per_prompt_accuracies.  The p-value columns
-    evaluate the empirical curve value at each t.
+    evaluate the empirical curve value at each t.  Each record's sample is
+    sorted once and its baseline computed in one pass over the t axis.
     """
     records = _load_records_strict(input_path, input_format)
     for record in records:
@@ -394,18 +396,20 @@ def curve(input_path, input_format, t_axis, fmt, out) -> None:
     rows = []
     for record in records:
         ts = ts_flag if ts_flag is not None else list(range(1, record.t + 1))
-        for t in ts:
-            spec = TaskSpec(n=record.n, labels=record.labels, t=t)
-            empirical = audit_mod.empirical_expected_max(record.per_prompt_accuracies, t)
+        task = TaskSpec(n=record.n, labels=record.labels, t=1)
+        empirical_curve = audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)
+        baselines = expected_max_accuracies(task, ts).tolist()
+        for t, empirical, baseline in zip(ts, empirical_curve, baselines):
             # the estimator is bounded by the sample range; shed float dust
             empirical = min(max(empirical, 0.0), 1.0)
+            p_standard = tail_probability_standard(task, empirical)
             rows.append([
                 record.id,
                 t,
                 empirical,
-                expected_max_accuracy(spec),
-                tail_probability_standard(spec, empirical),
-                tail_probability_max(spec, empirical),
+                baseline,
+                p_standard,
+                float(max_tail(p_standard, t)),
             ])
     header = ["id", "t", "empirical_expected_max", "expected_max_baseline", "p_standard", "p_max"]
     _emit_sections([(None, header, rows)], fmt, out)

@@ -13,6 +13,7 @@ independent regularized-incomplete-beta binomial cdf as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,34 +61,105 @@ class UniformLabels:
         return self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerExampleLabels:
     """Each example ``i`` is guessed correctly with its own ``p_i``.
 
     Probabilities must lie in (0, 1]; a zero-probability example would
-    make the count degenerate and is rejected.
+    make the count degenerate and is rejected.  Schemes are cache keys:
+    the hash is computed once, and equality compares the packed float64
+    bytes of the probabilities, which for values in (0, 1] is exactly
+    the equality of the tuples.
     """
 
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probabilities) == 0:
+        probabilities = tuple(self.probabilities)
+        if len(probabilities) == 0:
             raise DomainError("per-example scheme needs at least one probability")
-        for i, p in enumerate(self.probabilities):
-            if not 0.0 < p <= 1.0:
-                raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
+        key = _probability_array(probabilities).tobytes()
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PerExampleLabels):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Bytes hashes are salted per process: rebuild the key and hash on unpickling.
+        return (PerExampleLabels, (self.probabilities,))
 
     @classmethod
     def from_label_counts(cls, counts: Sequence[int]) -> "PerExampleLabels":
-        """Build the scheme from per-example label counts (p_i = 1 / count_i)."""
+        """Build the scheme from per-example label counts (p_i = 1 / count_i).
+
+        Counts that are all plain ints within int64 are checked and
+        inverted as one array; anything else is checked count by count,
+        which names the first bad count.
+        """
+        array = _int64_counts(counts)
+        if array is not None and array.size and array.min() >= 1:
+            # One float object per distinct count, shared by its examples: the
+            # tuple then costs 8 bytes per example, not 8 plus a 32-byte float.
+            distinct, which = np.unique(array, return_inverse=True)
+            shared = np.array((1.0 / distinct).tolist(), dtype=object)
+            return cls(tuple(shared[which].tolist()))
         for i, c in enumerate(counts):
             if int(c) != c or c < 1:
                 raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
         return cls(tuple(1.0 / int(c) for c in counts))
 
-    def expected_accuracy(self) -> float:
-        """Expected accuracy of a single random guesser: the mean of the p_i."""
+    @functools.cached_property
+    def _mean(self) -> float:
         return math.fsum(self.probabilities) / len(self.probabilities)
+
+    def expected_accuracy(self) -> float:
+        """Expected accuracy of a single random guesser: the mean of the p_i (summed once)."""
+        return self._mean
+
+
+def _probability_array(probabilities: tuple) -> np.ndarray:
+    """The probabilities as float64, each checked to lie in (0, 1].
+
+    Numbers are checked in one array pass; other element types are
+    compared one by one, as Python compares them.  Either way the error
+    names the first bad value as it was given.
+    """
+    try:
+        array = np.asarray(probabilities)
+    except ValueError:  # ragged nesting
+        array = np.empty(0, dtype=object)
+    if array.ndim == 1 and array.dtype.kind in "buif":
+        array = array.astype(float, copy=False)
+        bad = ~((array > 0.0) & (array <= 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise DomainError(f"probability {probabilities[i]!r} at index {i} is outside (0, 1]")
+        return array
+    for i, p in enumerate(probabilities):
+        if not 0.0 < p <= 1.0:
+            raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
+    return np.array([float(p) for p in probabilities])
+
+
+def _int64_counts(counts: Sequence[int]) -> np.ndarray | None:
+    """``counts`` as an int64 array when all are plain ints that fit, else None.
+
+    The element types are checked first because numpy would take ``True``
+    as 1 and truncate ``2.5`` without a word.
+    """
+    if set(map(type, counts)) != {int}:
+        return None
+    try:
+        return np.array(counts, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 LabelScheme = UniformLabels | PerExampleLabels

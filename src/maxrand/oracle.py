@@ -37,7 +37,8 @@ GENERATOR = "pcg64"
 ENUMERATION_LIMIT = 10**7
 
 # Uniform draws per batch.  Batching bounds memory without changing the
-# draw order, so results are independent of the batch size.
+# draw order, so results are independent of the batch size.  A trial with
+# more draws than this takes them in pieces of this size.
 _CHUNK_DRAWS = 1 << 22
 
 
@@ -74,20 +75,7 @@ def simulate_expected_max(config: SimulationConfig) -> SimulationResult:
     search on the precomputed cdf) and records the maximum accuracy;
     returns the sample mean and its standard error.
     """
-    spec = config.spec
-    base = count_distribution(spec.labels, spec.n)
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    cdf = base.cdf
-    maxima = np.empty(config.trials)
-    rows_per_chunk = max(1, _CHUNK_DRAWS // spec.t)
-    done = 0
-    while done < config.trials:
-        rows = min(rows_per_chunk, config.trials - done)
-        u = rng.random((rows, spec.t))
-        # u in [0, 1) and cdf[n] == 1, so every lookup lands in 0..n.
-        counts = np.searchsorted(cdf, u, side="right")
-        maxima[done : done + rows] = counts.max(axis=1) / spec.n
-        done += rows
+    maxima = _simulated_maxima(config)
     estimate = float(maxima.mean())
     if config.trials > 1:
         std_error = float(maxima.std(ddof=1)) / math.sqrt(config.trials)
@@ -99,6 +87,45 @@ def simulate_expected_max(config: SimulationConfig) -> SimulationResult:
         trials=config.trials,
         seed=config.seed,
     )
+
+
+def _simulated_maxima(config: SimulationConfig) -> np.ndarray:
+    """The best accuracy of each trial, in trial order.
+
+    The inverse cdf is nondecreasing, so the largest of a trial's ``t``
+    counts is the count of its largest uniform: one lookup per trial
+    gives the same maxima as looking up every draw.
+    """
+    spec = config.spec
+    base = count_distribution(spec.labels, spec.n)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    cdf = base.cdf
+    maxima = np.empty(config.trials)
+    rows_per_chunk = max(1, _CHUNK_DRAWS // spec.t)
+    done = 0
+    while done < config.trials:
+        rows = min(rows_per_chunk, config.trials - done)
+        top = _largest_uniforms(rng, rows, spec.t)
+        # top in [0, 1) and cdf[n] == 1, so every lookup lands in 0..n.
+        maxima[done : done + rows] = np.searchsorted(cdf, top, side="right") / spec.n
+        done += rows
+    return maxima
+
+
+def _largest_uniforms(rng: np.random.Generator, rows: int, t: int) -> np.ndarray:
+    """The largest of ``t`` uniforms for each of ``rows`` trials, drawn trial by trial.
+
+    At most ``_CHUNK_DRAWS`` uniforms are held at once: a trial with more
+    (then ``rows == 1``) keeps a running maximum over pieces, which PCG64
+    fills with the same values as one draw of all ``t``.
+    """
+    if t <= _CHUNK_DRAWS:
+        u = rng.random((rows, t))
+        return u[:, 0] if t == 1 else u.max(axis=1)
+    top = np.zeros(rows)
+    for start in range(0, t, _CHUNK_DRAWS):
+        np.maximum(top, rng.random((rows, min(_CHUNK_DRAWS, t - start))).max(axis=1), out=top)
+    return top
 
 
 def enumerate_max_pmf(spec: TaskSpec) -> np.ndarray:

@@ -18,12 +18,12 @@ same values.)
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +47,8 @@ __all__ = [
     "max_order_distribution",
     "expected_standard_accuracy",
     "expected_max_accuracy",
+    "expected_max_accuracies",
+    "max_tail",
     "p_value_standard",
     "p_value_max",
     "tail_probability_standard",
@@ -69,6 +71,11 @@ _TIE_GUARD = 1e-9
 # task's entry is 16 * (n + 1) bytes, so 128 MiB keeps 400 tasks of
 # n = 20000, or eight of n = 10^6.
 _BASE_CACHE_BYTES = 128 * 2**20
+
+# Elements (float64) of each block of the t-by-k array that
+# expected_max_accuracies sums row by row: a whole t axis then needs no
+# more memory than one t at n >= 2^15, and 256 KiB per block below.
+_T_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,11 @@ class TaskSpec:
     def uniform(cls, n: int, m: int, t: int) -> "TaskSpec":
         """Spec for a task with ``m`` equally likely labels per example."""
         return cls(n=n, labels=UniformLabels(m), t=t)
+
+    @functools.cached_property
+    def _task(self) -> "TaskSpec":
+        """This spec at t = 1, the key of its task's base distribution; made once per spec."""
+        return TaskSpec(n=self.n, labels=self.labels, t=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +201,7 @@ def _base_distribution(spec: TaskSpec) -> CountDistribution:
 
 def _base(spec: TaskSpec) -> CountDistribution:
     """One classifier's count distribution for ``spec``'s task, cached once for every t."""
-    return _base_distribution(spec if spec.t == 1 else dataclasses.replace(spec, t=1))
+    return _base_distribution(spec if spec.t == 1 else spec._task)
 
 
 def accuracy_to_count(n: int, observed: float) -> int:
@@ -242,13 +254,41 @@ def expected_max_accuracy(spec: TaskSpec) -> float:
     exactly :func:`expected_standard_accuracy` at ``t = 1``, where the
     base distribution is still built so an infeasible ``n`` fails at every ``t``.
     """
-    sf = _base(spec).sf
-    if spec.t == 1:
-        return expected_standard_accuracy(spec)
-    return float(_max_tail(sf[1:], spec.t).sum()) / spec.n
+    return float(expected_max_accuracies(spec, [spec.t])[0])
 
 
-def _max_tail(tail, t: int):
+def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
+    """:func:`expected_max_accuracy` of ``spec``'s task at each ``t`` in ``ts``.
+
+    ``spec.t`` is not used.  ``log1p(-S(k))`` is computed once, and the
+    rows ``-expm1(t log1p(-S(k)))`` are summed over ``k`` in blocks of at
+    most ``_T_BLOCK_ELEMENTS``; each row sum has the same bits as the
+    row summed on its own.
+    """
+    for t in ts:
+        if t < 1:
+            raise DomainError(f"t must be >= 1, got {t}")
+    base = _base(spec)
+    values = np.empty(len(ts))
+    at_one = np.array([t == 1 for t in ts], dtype=bool)
+    values[at_one] = expected_standard_accuracy(spec)
+    rows = np.flatnonzero(~at_one)
+    if rows.size:
+        times = np.array([float(t) for t in ts])
+        with np.errstate(divide="ignore"):
+            log_below = np.log1p(-base.sf[1:])
+        step = max(1, _T_BLOCK_ELEMENTS // log_below.size)
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            terms = np.multiply.outer(times[block], log_below)
+            np.expm1(terms, out=terms)
+            np.negative(terms, out=terms)
+            values[block] = terms.sum(axis=1)
+        values[rows] /= spec.n
+    return values
+
+
+def max_tail(tail, t: int):
     """P(best of t >= k) = 1 - (1 - S(k))^t from the tail(s) ``S(k)``, in expm1/log1p
     form, which stays accurate both when the tail is near 1 and deep in the upper tail."""
     if t == 1:
@@ -272,7 +312,7 @@ def p_value_max(spec: TaskSpec, observed: float) -> float:
     Equals ``1 - F(n*observed - 1)^t``; coincides with
     :func:`p_value_standard` at ``t = 1``.
     """
-    return float(_max_tail(p_value_standard(spec, observed), spec.t))
+    return float(max_tail(p_value_standard(spec, observed), spec.t))
 
 
 def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
@@ -293,7 +333,7 @@ def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
 
 def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:
     """P(the best of ``t`` random classifiers scores at least ``accuracy``)."""
-    return float(_max_tail(tail_probability_standard(spec, accuracy), spec.t))
+    return float(max_tail(tail_probability_standard(spec, accuracy), spec.t))
 
 
 def min_accuracy_beating_max(spec: TaskSpec) -> float | None:
@@ -320,7 +360,7 @@ def min_accuracy_at_significance(spec: TaskSpec, alpha: float) -> float | None:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    significant = _max_tail(_base(spec).sf, spec.t) < alpha
+    significant = max_tail(_base(spec).sf, spec.t) < alpha
     k = int(np.argmax(significant))
     return k / spec.n if significant[k] else None
 
@@ -338,5 +378,5 @@ def baseline_report(spec: TaskSpec, observed_accuracy: float | None = None) -> B
         expected_max=expected_max,
         observed_accuracy=observed_accuracy,
         p_standard=tail,
-        p_max=float(_max_tail(tail, spec.t)),
+        p_max=float(max_tail(tail, spec.t)),
     )

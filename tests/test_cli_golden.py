@@ -3,9 +3,10 @@
 Each case runs once per ``--format``.  The expected stdout of case
 ``<name>`` in format ``<fmt>`` is ``golden/expected/<name>-<fmt>.out``;
 for ``--out`` cases it is the written file and stdout must be empty.
-Stderr is not compared.  After a deliberate output change, rewrite the
-expected files with ``PYTHONPATH=src python tests/test_cli_golden.py``
-and review the diff.
+Stderr is compared only for the label-count cases, whose messages name
+the bad count: ``golden/expected/<name>-<fmt>.err``.  After a deliberate
+output change, rewrite the expected files with
+``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 
 from pathlib import Path
@@ -53,34 +54,55 @@ CASES = [
     ("out-audit-heldout", ["audit", "{in}/mixed.csv", "--eval-heldout", "--out", "{out}"], 0),
 ]
 
+# Label-count lists, parsed in one pass or count by count: stdout, exit code and stderr.
+LABEL_CASES = [
+    ("labels-jsonl-accepted", ["audit", "{in}/labels_ok.jsonl"], 0),
+    ("labels-jsonl-rejected", ["audit", "{in}/labels_bad.jsonl"], 2),
+    ("labels-csv-rejected", ["audit", "{in}/labels_bad.csv"], 2),
+    ("labels-flag-spaces", ["baseline", "--n", "2", "--labels", " 2; 3", "--t", "4"], 0),
+    ("labels-flag-bad", ["baseline", "--n", "3", "--labels", "2;x;0", "--t", "4"], 2),
+]
+
 FORMATS = ["csv", "json"]
 
 
-def run_case(args: list[str], fmt: str, out: Path) -> tuple[str, int]:
-    """Run one case; return what it printed (or wrote with --out) and its exit code."""
+def run_case(args: list[str], fmt: str, out: Path) -> tuple[str, int, str]:
+    """Run one case; return what it printed (or wrote with --out), its exit code and stderr."""
     argv = [arg.replace("{in}", str(INPUTS)).replace("{out}", str(out)) for arg in args]
     result = CliRunner().invoke(main, argv + ["--format", fmt])
     if "{out}" in args:
         assert result.stdout == ""
-        return (out.read_text(encoding="utf-8") if out.exists() else ""), result.exit_code
-    return result.stdout, result.exit_code
+        text = out.read_text(encoding="utf-8") if out.exists() else ""
+        return text, result.exit_code, result.stderr
+    return result.stdout, result.exit_code, result.stderr
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name, args, exit_code", CASES, ids=[case[0] for case in CASES])
 def test_cli_output_is_unchanged(name, args, exit_code, fmt, tmp_path):
-    text, code = run_case(args, fmt, tmp_path / "out.txt")
+    text, code, _ = run_case(args, fmt, tmp_path / "out.txt")
     assert code == exit_code
     assert text == (EXPECTED / f"{name}-{fmt}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name, args, exit_code", LABEL_CASES, ids=[case[0] for case in LABEL_CASES])
+def test_label_count_output_and_messages_are_unchanged(name, args, exit_code, fmt, tmp_path):
+    text, code, errors = run_case(args, fmt, tmp_path / "out.txt")
+    assert code == exit_code
+    assert text == (EXPECTED / f"{name}-{fmt}.out").read_text(encoding="utf-8")
+    assert errors == (EXPECTED / f"{name}-{fmt}.err").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        for name, args, exit_code in CASES:
+        for name, args, exit_code in CASES + LABEL_CASES:
             for fmt in FORMATS:
-                text, code = run_case(args, fmt, Path(scratch) / f"{name}-{fmt}")
+                text, code, errors = run_case(args, fmt, Path(scratch) / f"{name}-{fmt}")
                 if code != exit_code:
                     raise SystemExit(f"{name}-{fmt}: exit {code}, expected {exit_code}")
                 (EXPECTED / f"{name}-{fmt}.out").write_text(text, encoding="utf-8")
+                if (name, args, exit_code) in LABEL_CASES:
+                    (EXPECTED / f"{name}-{fmt}.err").write_text(errors, encoding="utf-8")

@@ -67,6 +67,39 @@ def test_batching_does_not_change_the_stream(monkeypatch):
     assert simulate_expected_max(config) == reference
 
 
+def per_draw_maxima(config):
+    """Each trial's best accuracy with every one of its t draws looked up, in one draw."""
+    spec = config.spec
+    cdf = count_distribution(spec.labels, spec.n).cdf
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    counts = np.searchsorted(cdf, rng.random((config.trials, spec.t)), side="right")
+    return counts.max(axis=1) / spec.n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TaskSpec.uniform(1, 2, 1),
+        TaskSpec.uniform(20, 3, 1),
+        TaskSpec.uniform(20, 3, 7),
+        TaskSpec.uniform(100, 2, 200),
+        TaskSpec(n=4, labels=PerExampleLabels.from_label_counts([2, 3, 4, 10]), t=13),
+    ],
+)
+def test_one_lookup_per_trial_gives_the_maxima_of_every_lookup(spec):
+    config = SimulationConfig(spec=spec, trials=3000, seed=17)
+    assert np.array_equal(maxrand.oracle._simulated_maxima(config), per_draw_maxima(config))
+
+
+@pytest.mark.parametrize("t", [9, 16, 17, 40])
+def test_trials_longer_than_a_chunk_draw_in_pieces(monkeypatch, t):
+    config = SimulationConfig(spec=TaskSpec.uniform(30, 2, t), trials=300, seed=5)
+    one_shot = maxrand.oracle._simulated_maxima(config)
+    monkeypatch.setattr(maxrand.oracle, "_CHUNK_DRAWS", 8)
+    assert np.array_equal(maxrand.oracle._simulated_maxima(config), one_shot)
+    assert np.array_equal(one_shot, per_draw_maxima(config))
+
+
 def test_config_validation():
     spec = TaskSpec.uniform(2, 2, 1)
     with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from maxrand import (
     baseline_report,
     binomial_distribution,
     count_distribution,
+    expected_max_accuracies,
     expected_max_accuracy,
     expected_standard_accuracy,
     max_order_distribution,
@@ -184,6 +185,45 @@ class TestExpectedMaxAccuracy:
         cached(100)  # larger than the whole bound: it stays, alone
         assert cached.cache_info()[2:4] == (1, 16 * 101)
         assert cached(100) is cached(100)
+
+
+def expected_max_one_t(spec, t):
+    """The maximum baseline at one t, summed over k on its own."""
+    if t == 1:
+        return expected_standard_accuracy(spec)
+    sf = count_distribution(spec.labels, spec.n).sf
+    with np.errstate(divide="ignore"):
+        return float((-np.expm1(t * np.log1p(-sf[1:]))).sum()) / spec.n
+
+
+class TestExpectedMaxAccuracies:
+    TS = [1, 2, 3, 7, 10, 50, 199, 200, 10**4, 10**6]
+
+    @pytest.mark.parametrize("n", [1, 10, 137, 2000, 20_000, 40_000])
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_each_t_has_the_bits_of_its_own_sum(self, n, m):
+        spec = TaskSpec.uniform(n, m, 1)
+        values = expected_max_accuracies(spec, self.TS)
+        assert [float(v) for v in values] == [expected_max_one_t(spec, t) for t in self.TS]
+
+    def test_per_example_scheme_and_small_blocks(self, monkeypatch):
+        labels = PerExampleLabels.from_label_counts([2 + (5 * i) % 7 for i in range(300)])
+        spec = TaskSpec(n=300, labels=labels, t=4)
+        ts = list(range(1, 41))
+        whole = expected_max_accuracies(spec, ts)
+        monkeypatch.setattr(orderstat_mod, "_T_BLOCK_ELEMENTS", 700)  # two rows per block
+        assert_array_equal(expected_max_accuracies(spec, ts), whole)
+        assert [float(v) for v in whole] == [expected_max_one_t(spec, t) for t in ts]
+
+    def test_spec_t_is_not_used_and_a_scalar_call_agrees(self):
+        spec = TaskSpec.uniform(100, 2, 10)
+        assert expected_max_accuracies(spec, [10, 1]).tolist() == [
+            expected_max_accuracy(spec), 0.5]
+        assert expected_max_accuracies(spec, []).shape == (0,)
+
+    def test_rejects_t_below_one(self):
+        with pytest.raises(DomainError, match="t must be >= 1, got 0"):
+            expected_max_accuracies(TaskSpec.uniform(10, 2, 1), [3, 0])
 
 
 class TestPValues:
