@@ -455,23 +455,18 @@ def parse_label_counts(text: str) -> PerExampleLabels:
 def _label_counts(values: Sequence[object]) -> PerExampleLabels:
     """Per-example scheme from counts each read as :func:`_parse_int` reads them.
 
-    A list of plain ints goes on as it is, and strings are read by
-    ``int()`` in one pass (it strips whitespace, as ``_parse_int`` does).
-    Anything else (bools, floats, bad strings) goes count by count, so
-    the error names the first bad count as before.
+    Each distinct value is read once.  On an error the values are read
+    again one by one, so that the message names the first bad one.
     """
-    kinds = set(map(type, values))
-    counts = None
-    if kinds == {int}:
-        counts = values
-    elif kinds == {str}:
-        try:
-            counts = list(map(int, values))
-        except ValueError:
-            pass
-    if counts is None:
-        counts = [_parse_int(value, "labels") for value in values]
-    return PerExampleLabels.from_label_counts(counts)
+    try:
+        if bool in set(map(type, values)):  # a set would merge True with the count 1
+            raise DomainError("labels must be integers, not booleans")
+        read = {value: _parse_int(value, "labels") for value in set(values)}
+    except (TypeError, DomainError):  # TypeError: a value does not hash
+        for value in values:
+            _parse_int(value, "labels")
+        raise
+    return PerExampleLabels.from_label_counts(list(map(read.__getitem__, values)))
 
 
 def _parse_labels(value: object) -> LabelScheme:

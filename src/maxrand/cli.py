@@ -277,10 +277,9 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha, fmt, out) -> None:
     ts = _parse_axis(t_axis, "--t")
     if isinstance(scheme, PerExampleLabels):
         for n in ns:
-            if len(scheme.probabilities) != n:
+            if scheme.n != n:
                 raise DomainError(
-                    f"per-example scheme has {len(scheme.probabilities)} probabilities "
-                    f"but the n axis contains {n}"
+                    f"per-example scheme has {scheme.n} probabilities but the n axis contains {n}"
                 )
     if quantity == "p_value" and acc is None:
         raise DomainError("--quantity p_value requires --acc")

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,105 +63,94 @@ class UniformLabels:
         return self.p
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class PerExampleLabels:
     """Each example ``i`` is guessed correctly with its own ``p_i``.
 
+    Every baseline depends only on the multiset of the ``p_i``, so a
+    scheme is stored as its histogram: the distinct ``p_i`` in descending
+    order (ascending label count) and how many examples have each.
+    Equality and hashing are those of these two short tuples, so a
+    permutation of a scheme equals it and shares its cache entry.
+    ``n`` and ``probabilities`` are derived from them.
+
     Probabilities must lie in (0, 1]; a zero-probability example would
-    make the count degenerate and is rejected.  Schemes are cache keys:
-    the hash is computed once, and equality compares the packed float64
-    bytes of the probabilities, which for values in (0, 1] is exactly
-    the equality of the tuples.
+    make the count degenerate and is rejected.
     """
 
-    probabilities: tuple[float, ...]
+    distinct: tuple[float, ...]
+    multiplicities: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        probabilities = tuple(self.probabilities)
-        if len(probabilities) == 0:
+    def __init__(self, probabilities: Sequence[float]) -> None:
+        histogram = Counter(probabilities)
+        if not all(0.0 < p <= 1.0 for p in histogram):
+            for i, p in enumerate(probabilities):
+                if not 0.0 < p <= 1.0:
+                    raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
+        self._store((float(p), k) for p, k in histogram.items())
+
+    def _store(self, histogram: Iterable[tuple[float, int]]) -> None:
+        """Set the fields from (p, multiplicity) pairs; equal p are merged."""
+        merged: Counter = Counter()
+        for p, k in histogram:
+            merged[p] += k
+        if not merged:
             raise DomainError("per-example scheme needs at least one probability")
-        key = _probability_array(probabilities).tobytes()
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PerExampleLabels):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Bytes hashes are salted per process: rebuild the key and hash on unpickling.
-        return (PerExampleLabels, (self.probabilities,))
+        distinct = sorted(merged, reverse=True)
+        object.__setattr__(self, "distinct", tuple(distinct))
+        object.__setattr__(self, "multiplicities", tuple(merged[p] for p in distinct))
 
     @classmethod
     def from_label_counts(cls, counts: Sequence[int]) -> "PerExampleLabels":
         """Build the scheme from per-example label counts (p_i = 1 / count_i).
 
-        Counts that are all plain ints within int64 are checked and
-        inverted as one array; anything else is checked count by count,
-        which names the first bad count.
+        Only the distinct counts are checked and inverted; a bad one is
+        then looked for in ``counts``, so the error names its index.
         """
-        array = _int64_counts(counts)
-        if array is not None and array.size and array.min() >= 1:
-            # One float object per distinct count, shared by its examples: the
-            # tuple then costs 8 bytes per example, not 8 plus a 32-byte float.
-            distinct, which = np.unique(array, return_inverse=True)
-            shared = np.array((1.0 / distinct).tolist(), dtype=object)
-            return cls(tuple(shared[which].tolist()))
-        for i, c in enumerate(counts):
-            if int(c) != c or c < 1:
-                raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
-        return cls(tuple(1.0 / int(c) for c in counts))
+        histogram = Counter(counts)
+        if any(int(c) != c or c < 1 for c in histogram):
+            for i, c in enumerate(counts):
+                if int(c) != c or c < 1:
+                    raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
+        pairs = []
+        for c, k in histogram.items():
+            try:
+                pairs.append((1.0 / int(c), k))
+            except OverflowError:  # int(c) does not fit in a float
+                raise DomainError(
+                    f"label count {c!r} at index {counts.index(c)} exceeds the largest float, "
+                    f"{sys.float_info.max:.4g}"
+                ) from None
+        scheme = cls.__new__(cls)
+        scheme._store(pairs)
+        return scheme
+
+    @functools.cached_property
+    def n(self) -> int:
+        """Number of examples."""
+        return sum(self.multiplicities)
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        """Every example's ``p_i``, in the canonical order the histogram fixes.
+
+        The examples of each distinct ``p_i`` are spread evenly: the j-th
+        of k sits at (j + 1/2) / k, and ties go to the larger ``p_i``.  A
+        sorted order would start the Poisson binomial convolution with a
+        long run of one ``p_i``, which fills its tails with subnormal
+        values; on x86-64 that makes it three times slower at n = 20,000.
+        """
+        positions = np.concatenate([(np.arange(k) + 0.5) / k for k in self.multiplicities])
+        expanded = np.repeat(self.distinct, self.multiplicities)
+        return tuple(expanded[np.argsort(positions, kind="stable")].tolist())
 
     @functools.cached_property
     def _mean(self) -> float:
-        return math.fsum(self.probabilities) / len(self.probabilities)
+        return math.fsum(self.probabilities) / self.n
 
     def expected_accuracy(self) -> float:
         """Expected accuracy of a single random guesser: the mean of the p_i (summed once)."""
         return self._mean
-
-
-def _probability_array(probabilities: tuple) -> np.ndarray:
-    """The probabilities as float64, each checked to lie in (0, 1].
-
-    Numbers are checked in one array pass; other element types are
-    compared one by one, as Python compares them.  Either way the error
-    names the first bad value as it was given.
-    """
-    try:
-        array = np.asarray(probabilities)
-    except ValueError:  # ragged nesting
-        array = np.empty(0, dtype=object)
-    if array.ndim == 1 and array.dtype.kind in "buif":
-        array = array.astype(float, copy=False)
-        bad = ~((array > 0.0) & (array <= 1.0))
-        if bad.any():
-            i = int(bad.argmax())
-            raise DomainError(f"probability {probabilities[i]!r} at index {i} is outside (0, 1]")
-        return array
-    for i, p in enumerate(probabilities):
-        if not 0.0 < p <= 1.0:
-            raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
-    return np.array([float(p) for p in probabilities])
-
-
-def _int64_counts(counts: Sequence[int]) -> np.ndarray | None:
-    """``counts`` as an int64 array when all are plain ints that fit, else None.
-
-    The element types are checked first because numpy would take ``True``
-    as 1 and truncate ``2.5`` without a word.
-    """
-    if set(map(type, counts)) != {int}:
-        return None
-    try:
-        return np.array(counts, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 LabelScheme = UniformLabels | PerExampleLabels
@@ -419,11 +410,13 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
 
 
 def count_distribution(labels: LabelScheme, n: int) -> CountDistribution:
-    """Distribution of correct guesses on an n-example task under ``labels``."""
+    """Distribution of correct guesses on an n-example task under ``labels``.
+
+    A per-example scheme is convolved in the canonical order of its
+    ``probabilities``, so every permutation of a scheme builds the same bits.
+    """
     if isinstance(labels, UniformLabels):
         return binomial_distribution(n, labels.p)
-    if len(labels.probabilities) != n:
-        raise DomainError(
-            f"per-example scheme has {len(labels.probabilities)} probabilities but n={n}"
-        )
+    if labels.n != n:
+        raise DomainError(f"per-example scheme has {labels.n} probabilities but n={n}")
     return poisson_binomial_distribution(labels.probabilities)

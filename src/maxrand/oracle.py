@@ -24,6 +24,7 @@ from .orderstat import TaskSpec
 __all__ = [
     "GENERATOR",
     "ENUMERATION_LIMIT",
+    "MAX_TRIALS",
     "SimulationConfig",
     "SimulationResult",
     "simulate_expected_max",
@@ -35,6 +36,11 @@ __all__ = [
 GENERATOR = "pcg64"
 
 ENUMERATION_LIMIT = 10**7
+
+# Largest trial count simulated.  The maxima and the temporary of their
+# standard deviation take 16 bytes per trial, so 10^8 trials need about
+# 1.6 GB; a larger request is refused before anything is allocated.
+MAX_TRIALS = 10**8
 
 # Uniform draws per batch.  Batching bounds memory without changing the
 # draw order, so results are independent of the batch size.  A trial with
@@ -53,6 +59,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise FeasibilityError(
+                f"trials={self.trials} exceeds the largest supported trial count, {MAX_TRIALS}"
+            )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

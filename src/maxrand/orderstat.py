@@ -95,10 +95,9 @@ class TaskSpec:
         _check_n(self.n)
         if self.t < 1:
             raise DomainError(f"t must be >= 1, got {self.t}")
-        if isinstance(self.labels, PerExampleLabels) and len(self.labels.probabilities) != self.n:
+        if isinstance(self.labels, PerExampleLabels) and self.labels.n != self.n:
             raise DomainError(
-                f"per-example scheme has {len(self.labels.probabilities)} "
-                f"probabilities but n={self.n}"
+                f"per-example scheme has {self.labels.n} probabilities but n={self.n}"
             )
 
     @classmethod

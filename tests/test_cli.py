@@ -86,6 +86,16 @@ class TestBaselineCommand:
         oracle_value = float(np.arange(4) @ pmf / 3)
         assert abs(payload["expected_max"] - oracle_value) < 1e-12
 
+    def test_a_count_too_large_for_a_float_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["baseline", "--n", "2", "--labels", f"2;{10**400}", "--t", "3"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: label count {10**400} at index 1 exceeds the largest float, 1.798e+308\n"
+        )
+        assert result.stdout == ""
+
     def test_requires_exactly_one_label_flag(self, runner):
         result = runner.invoke(main, ["baseline", "--n", "10", "--t", "1"])
         assert result.exit_code == 2
@@ -299,6 +309,17 @@ class TestAuditCommand:
         assert result.stderr.startswith(f"error: row 1: n={10**24} exceeds the largest")
         assert result.stdout == ""
 
+    def test_a_count_too_large_for_a_float_is_a_row_error(self, runner, tmp_path):
+        record = {"id": "r", "model": "m", "dataset": "d", "n": 3, "labels": [2, 3, 10**400],
+                  "t": 3, "observed_max_accuracy": 2 / 3}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, ["audit", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: row 1, field labels: label count {10**400} at")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_out_flag_writes_the_file(self, runner, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text(AUDIT_CSV)
@@ -320,6 +341,19 @@ class TestSimulateCommand:
         assert row["generator"] == "pcg64"
         assert float(row["closed_form"]) == 0.6875
         assert abs(float(row["estimate"]) - 0.6875) <= 4 * float(row["std_error"])
+
+    def test_too_many_trials_exit_3_before_allocating(self, runner, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(np, "empty", must_not_run)
+        result = runner.invoke(
+            main, ["simulate", "--n", "100", "--m", "2", "--t", "10",
+                   "--trials", str(10**12), "--seed", "1"],
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith(f"error: trials={10**12} exceeds the largest")
+        assert result.stdout == ""
 
 
 class TestCurveCommand:

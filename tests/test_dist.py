@@ -243,7 +243,8 @@ class TestLabelSchemes:
 
     def test_per_example_from_label_counts(self):
         scheme = PerExampleLabels.from_label_counts([2, 3, 3, 5])
-        assert scheme.probabilities == (0.5, 1 / 3, 1 / 3, 0.2)
+        assert (scheme.distinct, scheme.multiplicities) == ((0.5, 1 / 3, 0.2), (1, 2, 1))
+        assert scheme.probabilities == (1 / 3, 0.5, 0.2, 1 / 3)
 
     def test_per_example_rejects_bad_counts(self):
         with pytest.raises(DomainError):
@@ -256,6 +257,18 @@ class TestLabelSchemes:
         assert_allclose(uniform.pmf, binomial_distribution(3, 0.5).pmf)
         per_example = count_distribution(PerExampleLabels((0.5, 0.5)), 2)
         assert_allclose(per_example.pmf, [0.25, 0.5, 0.25], atol=1e-15)
+
+    def test_permutations_build_the_same_bits(self):
+        rng = np.random.default_rng(2000)
+        counts = rng.integers(2, 11, size=2000).tolist()
+        shuffled = rng.permutation(counts).tolist()
+        given_order = [poisson_binomial_distribution([1.0 / c for c in order]).pmf
+                       for order in (counts, shuffled)]
+        assert not np.array_equal(*given_order)  # summation order shows at this size
+        first, second = (count_distribution(PerExampleLabels.from_label_counts(order), 2000)
+                         for order in (counts, shuffled))
+        assert_array_equal(first.pmf, second.pmf)
+        assert_array_equal(first.sf, second.sf)
 
     def test_count_distribution_length_mismatch(self):
         with pytest.raises(DomainError):

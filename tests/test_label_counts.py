@@ -1,9 +1,9 @@
-"""Per-example label counts: the one-pass parser against the count-by-count one.
+"""Per-example label counts: the histogram parser against the count-by-count one.
 
 ``old_parse_labels`` and ``old_parse_label_counts`` are the parsers that
 read every count with one ``_parse_int`` call, kept here as the oracle:
-for any input the array parser must build an equal scheme, or raise the
-same error with the same message.
+for any input the histogram parser must build a scheme with the same
+multiset of probabilities, or raise the same error with the same message.
 """
 
 import math
@@ -37,7 +37,14 @@ def old_from_label_counts(counts):
     for i, c in enumerate(counts):
         if int(c) != c or c < 1:
             raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
-    probabilities = tuple(1.0 / int(c) for c in counts)
+    probabilities = []
+    for i, c in enumerate(counts):
+        try:
+            probabilities.append(1.0 / int(c))
+        except OverflowError:
+            raise DomainError(
+                f"label count {c!r} at index {i} exceeds the largest float, 1.798e+308"
+            ) from None
     if len(probabilities) == 0:
         raise DomainError("per-example scheme needs at least one probability")
     return probabilities
@@ -52,12 +59,12 @@ def old_parse_label_counts(text):
 
 
 def outcome(parse, value):
-    """(probabilities, None) on success, (None, (error type, message)) on failure."""
+    """(sorted probabilities, None) on success, (None, (error type, message)) on failure."""
     try:
         result = parse(value)
     except Exception as exc:  # noqa: BLE001 - the oracle may raise anything
         return None, (type(exc), str(exc))
-    return (result.probabilities if isinstance(result, PerExampleLabels) else result), None
+    return sorted(result.probabilities if isinstance(result, PerExampleLabels) else result), None
 
 
 counts = st.one_of(
@@ -73,7 +80,7 @@ counts = st.one_of(
 count_texts = st.one_of(
     st.integers(min_value=-3, max_value=12).map(str),
     st.sampled_from(["x", "", " 3", "4 ", "\t5", "2.0", "1_0", "+7", "\x1c3", " 4",
-                     str(2**63), str(10**30)]),
+                     str(2**63), str(10**30), str(10**400)]),
 )
 
 
@@ -100,6 +107,9 @@ def test_text_parser_matches_the_count_by_count_parser(parts):
         ([0, "x"], "labels must be an integer, got 'x'"),
         ([10**30, 0], "label count 0 at index 1 must be a positive integer"),
         ([], "per-example scheme needs at least one probability"),
+        pytest.param([2, 10**400, 10**400],
+                     f"label count {10**400} at index 1 exceeds the largest float, 1.798e+308",
+                     id="count-above-the-largest-float"),
     ],
 )
 def test_bad_lists_name_the_first_bad_count(values, message):
@@ -110,7 +120,7 @@ def test_bad_lists_name_the_first_bad_count(values, message):
 
 def test_integral_floats_and_huge_counts_are_counts():
     assert _parse_labels([2.0, 3, "4"]) == PerExampleLabels((0.5, 1 / 3, 0.25))
-    assert _parse_labels([10**30, 2]).probabilities == (1.0 / 10**30, 0.5)
+    assert _parse_labels([10**30, 2]).probabilities == (0.5, 1.0 / 10**30)
 
 
 def test_schemes_from_a_list_a_string_and_probabilities_are_one_cache_key():
@@ -123,6 +133,20 @@ def test_schemes_from_a_list_a_string_and_probabilities_are_one_cache_key():
     orderstat_mod._base_distribution.cache_clear()
     first = orderstat_mod._base(TaskSpec(n=3, labels=from_list, t=5))
     second = orderstat_mod._base(TaskSpec(n=3, labels=from_text, t=7))
+    info = orderstat_mod._base_distribution.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert second is first
+
+
+def test_permuted_schemes_are_equal_and_share_one_cache_entry():
+    given = PerExampleLabels.from_label_counts([4, 2, 3, 2])
+    permuted = parse_label_counts("2;3;2;4")
+    assert given == permuted and hash(given) == hash(permuted)
+    assert given.probabilities == permuted.probabilities == (0.5, 1 / 3, 0.25, 0.5)
+    assert given != PerExampleLabels.from_label_counts([4, 2, 3, 3])
+    orderstat_mod._base_distribution.cache_clear()
+    first = orderstat_mod._base(TaskSpec(n=4, labels=given, t=3))
+    second = orderstat_mod._base(TaskSpec(n=4, labels=permuted, t=1))
     info = orderstat_mod._base_distribution.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert second is first
@@ -159,9 +183,3 @@ def test_non_numbers_are_compared_as_python_compares_them():
         PerExampleLabels((0.5, [0.5]))
     assert PerExampleLabels((True, 0.5)) == PerExampleLabels((1.0, 0.5))
     assert PerExampleLabels([0.5, 0.25]).probabilities == (0.5, 0.25)
-
-
-def test_examples_with_the_same_count_share_one_float():
-    scheme = PerExampleLabels.from_label_counts([2, 3, 2, 3, 2])
-    assert scheme.probabilities == (0.5, 1 / 3, 0.5, 1 / 3, 0.5)
-    assert len({id(p) for p in scheme.probabilities}) == 2

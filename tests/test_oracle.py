@@ -109,6 +109,9 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SimulationConfig(spec=spec, trials=10, seed=2**64)
     SimulationConfig(spec=spec, trials=10, seed=2**64 - 1)
+    SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_TRIALS, seed=1)
+    with pytest.raises(FeasibilityError):
+        SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_TRIALS + 1, seed=1)
 
 
 class TestEnumerateMaxPmf:

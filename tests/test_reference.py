@@ -2,16 +2,19 @@
 
 E[max], ``p_value_standard`` and ``p_value_max`` must agree with the
 reference to 1e-11 relative over n in {1, 2, 7, 50, 300, 2000}, m in
-{2, 3, 10} and t in {1, 10, 10^4, 10^6}, plus one 40-example
-per-example scheme.  Tails below 1e-290 are skipped: there double
+{2, 3, 10} and t in {1, 10, 10^4, 10^6}, plus two per-example schemes:
+40 examples, and 2,000 examples with random counts in random order.
+Tails below 1e-290 are skipped: there double
 precision runs into its subnormal range.  The threshold solvers are
 also checked against the count scans they replaced.
 """
 
 import math
+import random
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,9 +37,13 @@ mp.dps = 40
 RTOL = 1e-11
 SMALLEST_TAIL = 1e-290
 TS = [1, 10, 10**4, 10**6]
-PER_EXAMPLE_COUNTS = tuple(2 + (7 * i) % 9 for i in range(40))
+PER_EXAMPLE_COUNTS = [
+    [2 + (7 * i) % 9 for i in range(40)],
+    random.Random(2000).choices(range(2, 11), k=2000),
+]
 SCHEMES = [(n, UniformLabels(m)) for n in (1, 2, 7, 50, 300, 2000) for m in (2, 3, 10)]
-SCHEMES.append((len(PER_EXAMPLE_COUNTS), PerExampleLabels.from_label_counts(PER_EXAMPLE_COUNTS)))
+SCHEMES += [(len(counts), PerExampleLabels.from_label_counts(counts))
+            for counts in PER_EXAMPLE_COUNTS]
 
 
 @lru_cache(maxsize=None)
@@ -47,10 +54,19 @@ def reference_tails(n: int, labels) -> list:
         pmf = [mp.mpf(math.comb(n, k) * (m - 1) ** (n - k)) / mp.mpf(m) ** n
                for k in range(n + 1)]
     else:
-        pmf = [mp.mpf(1)]
-        for count in PER_EXAMPLE_COUNTS:
-            p = mp.mpf(1) / count
-            pmf = [a * (1 - p) + b * p for a, b in zip(pmf + [0], [0] + pmf)]
+        # The pmf times the product of the counts: the coefficients of the
+        # product of (count - 1 + x) over the examples, in exact integers.
+        coefficients = np.ones(1, dtype=object)
+        denominator = 1
+        for p, multiplicity in zip(labels.distinct, labels.multiplicities):
+            count = round(1 / p)
+            for _ in range(multiplicity):
+                grown = np.zeros(len(coefficients) + 1, dtype=object)
+                grown[:-1] = coefficients * (count - 1)
+                grown[1:] += coefficients
+                coefficients = grown
+            denominator *= count**multiplicity
+        pmf = [mp.mpf(c) / denominator for c in coefficients]
     tails = [mp.mpf(0)] * (n + 1)
     running = mp.mpf(0)
     for k in range(n, -1, -1):
