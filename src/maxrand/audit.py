@@ -14,8 +14,10 @@ the multiset of inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -24,7 +26,7 @@ import numpy as np
 
 from .dist import LabelScheme, PerExampleLabels, UniformLabels
 from .errors import DomainError, FeasibilityError
-from .orderstat import TaskSpec, accuracy_to_count, baseline_report
+from .orderstat import TaskSpec, _check_t, accuracy_to_count, baseline_report
 
 __all__ = [
     "CATEGORIES",
@@ -243,8 +245,7 @@ def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) ->
     if len(accuracies) == 0:
         raise DomainError("accuracies must be nonempty")
     for t in ts:
-        if t < 1:
-            raise DomainError(f"t must be >= 1, got {t}")
+        _check_t(t)
     values = np.asarray(accuracies, dtype=float)
     distinct, counts = np.unique(values, return_counts=True)
     at_most = np.cumsum(counts) / values.size
@@ -304,25 +305,17 @@ def aggregate(verdicts: Sequence[AuditVerdict]) -> AuditSummary:
     return AuditSummary(total=_count_categories(verdicts), groups=groups)
 
 
-def _score_groups(
-    truths: Sequence[bool], scores: Sequence[float]
-) -> list[tuple[int, int]]:
-    """(positives, negatives) per distinct score, descending; ties grouped."""
+def _sweep(truths: Sequence[bool], scores: Sequence[float]) -> list[tuple[int, int]]:
+    """Cumulative (tp, fp) after each group of tied scores, taken in descending score order."""
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    groups: list[tuple[int, int]] = []
-    i = 0
-    while i < len(order):
-        j = i
-        pos = neg = 0
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            if truths[order[j]]:
-                pos += 1
-            else:
-                neg += 1
-            j += 1
-        groups.append((pos, neg))
-        i = j
-    return groups
+    sweep = []
+    tp = fp = 0
+    for _, group in itertools.groupby(order, key=scores.__getitem__):
+        hits = [bool(truths[i]) for i in group]
+        tp += sum(hits)
+        fp += len(hits) - sum(hits)
+        sweep.append((tp, fp))
+    return sweep
 
 
 def roc_points(truths: Sequence[bool], scores: Sequence[float]) -> tuple[tuple[float, float], ...]:
@@ -334,13 +327,8 @@ def roc_points(truths: Sequence[bool], scores: Sequence[float]) -> tuple[tuple[f
     negatives = len(truths) - positives
     if positives == 0 or negatives == 0:
         raise DomainError("ROC needs both a positive and a negative example")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for pos, neg in _score_groups(truths, scores):
-        tp += pos
-        fp += neg
-        points.append((fp / negatives, tp / positives))
-    return tuple(points)
+    sweep = _sweep(truths, scores)
+    return ((0.0, 0.0),) + tuple((fp / negatives, tp / positives) for tp, fp in sweep)
 
 
 def pr_points(truths: Sequence[bool], scores: Sequence[float]) -> tuple[tuple[float, float], ...]:
@@ -348,13 +336,7 @@ def pr_points(truths: Sequence[bool], scores: Sequence[float]) -> tuple[tuple[fl
     positives = sum(bool(v) for v in truths)
     if positives == 0:
         raise DomainError("precision-recall needs a positive example")
-    points = []
-    tp = fp = 0
-    for pos, neg in _score_groups(truths, scores):
-        tp += pos
-        fp += neg
-        points.append((tp / positives, tp / (tp + fp)))
-    return tuple(points)
+    return tuple((tp / positives, tp / (tp + fp)) for tp, fp in _sweep(truths, scores))
 
 
 def _trapezoidal_area(points: Sequence[tuple[float, float]]) -> float:
@@ -469,9 +451,9 @@ def _label_counts(values: Sequence[object]) -> PerExampleLabels:
     return PerExampleLabels.from_label_counts(list(map(read.__getitem__, values)))
 
 
-def _parse_labels(value: object) -> LabelScheme:
+def _parse_labels(value: object, field: str = "labels") -> LabelScheme:
     if isinstance(value, bool):
-        raise DomainError(f"labels must be an integer or per-example counts, got {value!r}")
+        raise DomainError(f"{field} must be an integer or per-example counts, got {value!r}")
     if isinstance(value, int):
         return UniformLabels(value)
     if isinstance(value, (list, tuple)):
@@ -480,8 +462,8 @@ def _parse_labels(value: object) -> LabelScheme:
         text = value.strip()
         if ";" in text:
             return parse_label_counts(text)
-        return UniformLabels(_parse_int(text, "labels"))
-    raise DomainError(f"labels must be an integer or per-example counts, got {value!r}")
+        return UniformLabels(_parse_int(text, field))
+    raise DomainError(f"{field} must be an integer or per-example counts, got {value!r}")
 
 
 def _parse_int(value: object, field: str) -> int:
@@ -504,13 +486,36 @@ def _parse_float(value: object, field: str) -> float:
     if isinstance(value, bool):
         raise DomainError(f"{field} must be a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise DomainError(
+                f"{field} {value} exceeds the largest float, {sys.float_info.max:.4g}"
+            ) from None
     if isinstance(value, str):
         try:
             return float(value.strip())
         except ValueError:
             raise DomainError(f"{field} must be a number, got {value!r}") from None
     raise DomainError(f"{field} must be a number, got {value!r}")
+
+
+def _parse_accuracies(value: object, field: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise DomainError("must be an array of accuracies")
+    return tuple(_parse_float(v, field) for v in value)
+
+
+# Every record field but the three strings, with its parser, in the order rows report errors.
+_FIELD_PARSERS = (
+    ("n", _parse_int),
+    ("t", _parse_int),
+    ("observed_max_accuracy", _parse_float),
+    ("labels", _parse_labels),
+    ("heldout_accuracy", _parse_float),
+    ("heldout_n", _parse_int),
+    ("per_prompt_accuracies", _parse_accuracies),
+)
 
 
 def _record_from_mapping(
@@ -527,40 +532,12 @@ def _record_from_mapping(
         return None
     fields: dict[str, object] = {}
     ok = True
-    for field, parser in (
-        ("n", _parse_int),
-        ("t", _parse_int),
-        ("observed_max_accuracy", _parse_float),
-    ):
-        try:
-            fields[field] = parser(present[field], field)
-        except DomainError as exc:
-            errors.append(RowError(row, field, str(exc)))
-            ok = False
-    try:
-        fields["labels"] = _parse_labels(present["labels"])
-    except DomainError as exc:
-        errors.append(RowError(row, "labels", str(exc)))
-        ok = False
-    for field, parser in (("heldout_accuracy", _parse_float), ("heldout_n", _parse_int)):
+    for field, parser in _FIELD_PARSERS:
         if field in present:
             try:
                 fields[field] = parser(present[field], field)
             except DomainError as exc:
                 errors.append(RowError(row, field, str(exc)))
-                ok = False
-    if "per_prompt_accuracies" in present:
-        value = present["per_prompt_accuracies"]
-        if not isinstance(value, (list, tuple)):
-            errors.append(RowError(row, "per_prompt_accuracies", "must be an array of accuracies"))
-            ok = False
-        else:
-            try:
-                fields["per_prompt_accuracies"] = tuple(
-                    _parse_float(v, "per_prompt_accuracies") for v in value
-                )
-            except DomainError as exc:
-                errors.append(RowError(row, "per_prompt_accuracies", str(exc)))
                 ok = False
     if not ok:
         return None

@@ -52,21 +52,6 @@ def _write(stream, text: str) -> None:
     stream.flush()
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (FeasibilityError, ConvergenceError) as exc:
-            _write(sys.stderr, f"error: {exc}\n")
-            raise SystemExit(_NUMERIC_EXIT)
-        except DomainError as exc:
-            _write(sys.stderr, f"error: {exc}\n")
-            raise SystemExit(_VALIDATION_EXIT)
-
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # Output helpers
 
@@ -125,8 +110,9 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _emit_record(payload: dict, fmt: str, out: str | None) -> None:
-    _emit_sections([(None, list(payload), [list(payload.values())])], fmt, out)
+def _record(payload: dict) -> list:
+    """One unnamed section of one row: the payload's keys over its values."""
+    return [(None, list(payload), [list(payload.values())])]
 
 
 def _fields(obj, names) -> list:
@@ -163,11 +149,15 @@ def _parse_axis(text: str, name: str) -> list[int]:
             values = list(range(lo, hi + 1))
         elif len(parts) == 3:
             lo, hi, count = parts
-            if lo < 1 or hi < lo or count < 1:
-                raise DomainError(f"{name} log-range needs 1 <= lo <= hi and count >= 1")
+            if not 1 <= lo <= hi <= sys.float_info.max or count < 1:
+                raise DomainError(
+                    f"{name} log-range needs 1 <= lo <= hi <= {sys.float_info.max:.4g} "
+                    "and count >= 1"
+                )
             if count > _MAX_AXIS_POINTS:
                 raise DomainError(f"{name} log-range {text!r} asks for over 10^6 points")
-            values = sorted({int(round(v)) for v in np.geomspace(lo, hi, count)})
+            with np.errstate(over="ignore"):  # on the way to hi, geomspace may reach inf
+                values = sorted({int(round(v)) for v in np.geomspace(float(lo), float(hi), count)})
         else:
             raise DomainError(f"{name} range syntax is 'lo:hi' or 'lo:hi:count', got {text!r}")
     else:
@@ -177,13 +167,15 @@ def _parse_axis(text: str, name: str) -> list[int]:
     return values
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
-)
-_out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 _m_option = click.option("--m", type=int, default=None, help="Number of labels per example.")
 _labels_option = click.option(
     "--labels", default=None, help="Semicolon-delimited per-example label counts, e.g. 2;3;4."
+)
+_input_format_option = click.option(
+    "--input-format",
+    type=click.Choice(["csv", "jsonl"]),
+    default=None,
+    help="Defaults by extension (.jsonl/.ndjson are JSON-lines, anything else CSV).",
 )
 
 
@@ -192,69 +184,89 @@ def main() -> None:
     """Stronger random baselines for reused validation sets."""
 
 
-@main.command()
-@click.option("--n", type=int, required=True, help="Validation-set size.")
-@_m_option
-@_labels_option
-@click.option("--t", type=int, required=True, help="Number of validation-set evaluations.")
-@_format_option
-@_out_option
-@_handle_errors
-def baseline(n, m, labels, t, fmt, out) -> None:
+def _command(fn):
+    """Register ``fn``, which returns ``(kind, header, rows)`` sections, as a subcommand.
+
+    Adds ``--format`` and ``--out`` after ``fn``'s options, maps errors to
+    an ``error:`` line and exit 3 (numeric or feasibility) or 2
+    (validation), and writes the sections.  The command returns None,
+    which is what ``main(args, standalone_mode=False)`` passes on.
+    """
+
+    @functools.wraps(fn)
+    def run(fmt: str, out: str | None, **options) -> None:
+        try:
+            sections = fn(**options)
+        except (FeasibilityError, ConvergenceError) as exc:
+            _write(sys.stderr, f"error: {exc}\n")
+            raise SystemExit(_NUMERIC_EXIT)
+        except DomainError as exc:
+            _write(sys.stderr, f"error: {exc}\n")
+            raise SystemExit(_VALIDATION_EXIT)
+        _emit_sections(sections, fmt, out)
+
+    command = main.command()(run)
+    formats = click.Choice(["csv", "json"])
+    command.params += [
+        click.Option(["--format", "fmt"], type=formats, default="csv", show_default=True),
+        click.Option(["--out"], type=click.Path(dir_okay=False, writable=True), default=None),
+    ]
+    return command
+
+
+def _task_flags(fn):
+    """Declare ``--n``, ``--m`` or ``--labels``, and ``--t``; pass ``fn`` the ``spec`` they make."""
+
+    @click.option("--n", type=int, required=True, help="Validation-set size.")
+    @_m_option
+    @_labels_option
+    @click.option("--t", type=int, required=True, help="Number of validation-set evaluations.")
+    @functools.wraps(fn)  # first, so the options join those fn already has
+    def with_spec(n: int, m: int | None, labels: str | None, t: int, **options):
+        return fn(spec=TaskSpec(n=n, labels=_scheme(m, labels), t=t), **options)
+
+    return with_spec
+
+
+@_command
+@_task_flags
+def baseline(spec: TaskSpec):
     """Standard and maximum random baselines, and the accuracy that beats them."""
-    spec = TaskSpec(n=n, labels=_scheme(m, labels), t=t)
-    payload = {
+    return _record({
         "expected_standard": expected_standard_accuracy(spec),
         "expected_max": expected_max_accuracy(spec),
         "min_accuracy_beating_max": min_accuracy_beating_max(spec),
-    }
-    _emit_record(payload, fmt, out)
+    })
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@_m_option
-@_labels_option
-@click.option("--t", type=int, required=True)
+@_command
+@_task_flags
 @click.option("--acc", type=float, required=True, help="Observed accuracy (must be k/n).")
-@_format_option
-@_out_option
-@_handle_errors
-def pvalue(n, m, labels, t, acc, fmt, out) -> None:
+def pvalue(spec: TaskSpec, acc: float):
     """p-values of an observed accuracy against both baselines."""
-    spec = TaskSpec(n=n, labels=_scheme(m, labels), t=t)
-    payload = {
+    return _record({
         "p_standard": p_value_standard(spec, acc),
         "p_max": p_value_max(spec, acc),
-    }
-    _emit_record(payload, fmt, out)
+    })
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@_m_option
-@_labels_option
-@click.option("--t", type=int, required=True)
+@_command
+@_task_flags
 @click.option("--alpha", type=float, default=None, help="Significance level for the p-value solver.")
-@_format_option
-@_out_option
-@_handle_errors
-def threshold(n, m, labels, t, alpha, fmt, out) -> None:
+def threshold(spec: TaskSpec, alpha: float | None):
     """Least attainable accuracies above the maximum baseline / below alpha.
 
     Empty (null) values mean the threshold is unattainable.
     """
-    spec = TaskSpec(n=n, labels=_scheme(m, labels), t=t)
-    payload = {
+    return _record({
         "min_accuracy_beating_max": min_accuracy_beating_max(spec),
         "min_accuracy_at_significance": (
             min_accuracy_at_significance(spec, alpha) if alpha is not None else None
         ),
-    }
-    _emit_record(payload, fmt, out)
+    })
 
 
-@main.command()
+@_command
 @click.option("--n", "n_axis", required=True, help="n axis: 'a,b,c', 'lo:hi', or 'lo:hi:count'.")
 @click.option("--t", "t_axis", required=True, help="t axis: 'a,b,c', 'lo:hi', or 'lo:hi:count'.")
 @_m_option
@@ -267,10 +279,7 @@ def threshold(n, m, labels, t, alpha, fmt, out) -> None:
 )
 @click.option("--acc", type=float, default=None, help="Accuracy for --quantity p_value.")
 @click.option("--alpha", type=float, default=None, help="Significance level for --quantity threshold.")
-@_format_option
-@_out_option
-@_handle_errors
-def grid(n_axis, t_axis, m, labels, quantity, acc, alpha, fmt, out) -> None:
+def grid(n_axis, t_axis, m, labels, quantity, acc, alpha):
     """One value per (n, t) cell, n-major ascending; empty cells are unattainable."""
     scheme = _scheme(m, labels)
     ns = _parse_axis(n_axis, "--n")
@@ -295,22 +304,14 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha, fmt, out) -> None:
             values = [min_accuracy_at_significance(TaskSpec(n=n, labels=scheme, t=t), alpha)
                       for t in ts]
         rows += [[n, t, value] for t, value in zip(ts, values)]
-    _emit_sections([(None, ["n", "t", "value"], rows)], fmt, out)
+    return [(None, ["n", "t", "value"], rows)]
 
 
-@main.command()
+@_command
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--input-format",
-    type=click.Choice(["csv", "jsonl"]),
-    default=None,
-    help="Defaults by extension (.jsonl/.ndjson are JSON-lines, anything else CSV).",
-)
+@_input_format_option
 @click.option("--eval-heldout", is_flag=True, help="Also score held-out prediction quality.")
-@_format_option
-@_out_option
-@_handle_errors
-def audit(input_path, input_format, eval_heldout, fmt, out) -> None:
+def audit(input_path, input_format, eval_heldout):
     """Classify records against both baselines and aggregate the verdicts."""
     records = _load_records_strict(input_path, input_format)
     verdicts = [audit_mod.classify(record) for record in records]
@@ -335,62 +336,50 @@ def audit(input_path, input_format, eval_heldout, fmt, out) -> None:
              [["auroc", prediction.auroc], ["aupr", prediction.aupr]]),
             ("curve", ["curve", "x", "y"], points),
         ]
-    _emit_sections(sections, fmt, out)
+    return sections
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@_m_option
-@_labels_option
-@click.option("--t", type=int, required=True)
+@_command
+@_task_flags
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@_format_option
-@_out_option
-@_handle_errors
-def simulate(n, m, labels, t, trials, seed, fmt, out) -> None:
+def simulate(spec: TaskSpec, trials: int, seed: int):
     """Monte Carlo estimate of the maximum baseline next to the closed form."""
-    spec = TaskSpec(n=n, labels=_scheme(m, labels), t=t)
     result = simulate_expected_max(SimulationConfig(spec=spec, trials=trials, seed=seed))
-    payload = {
+    return _record({
         "estimate": result.estimate,
         "std_error": result.std_error,
         "closed_form": expected_max_accuracy(spec),
         "trials": result.trials,
         "seed": result.seed,
         "generator": result.generator,
-    }
-    _emit_record(payload, fmt, out)
+    })
 
 
-@main.command()
+@_command
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--input-format",
-    type=click.Choice(["csv", "jsonl"]),
-    default=None,
-    help="Defaults by extension; per-prompt accuracies require JSON-lines.",
-)
+@_input_format_option
 @click.option(
     "--t",
     "t_axis",
     default=None,
     help="t axis ('a,b,c', 'lo:hi', or 'lo:hi:count'); default 1..record t.",
 )
-@_format_option
-@_out_option
-@_handle_errors
-def curve(input_path, input_format, t_axis, fmt, out) -> None:
+def curve(input_path, input_format, t_axis):
     """Empirical expected-max curve next to the maximum baseline, per record.
 
-    Every record must carry per_prompt_accuracies.  The p-value columns
-    evaluate the empirical curve value at each t.  Each record's sample is
-    sorted once and its baseline computed in one pass over the t axis.
+    Every record must carry per_prompt_accuracies, which require
+    JSON-lines input.  The p-value columns evaluate the empirical curve
+    value at each t.  Each record's sample is sorted once and its
+    baseline computed in one pass over the t axis.
     """
     records = _load_records_strict(input_path, input_format)
     for record in records:
         if record.per_prompt_accuracies is None:
             raise DomainError(f"record {record.id!r} has no per_prompt_accuracies")
+        if t_axis is None and record.t > _MAX_AXIS_POINTS:
+            raise DomainError(f"record {record.id!r}: the t axis 1..{record.t} has over 10^6 "
+                              "points; use --t")
     ts_flag = _parse_axis(t_axis, "--t") if t_axis is not None else None
     rows = []
     for record in records:
@@ -411,7 +400,7 @@ def curve(input_path, input_format, t_axis, fmt, out) -> None:
                 float(max_tail(p_standard, t)),
             ])
     header = ["id", "t", "empirical_expected_max", "expected_max_baseline", "p_standard", "p_max"]
-    _emit_sections([(None, header, rows)], fmt, out)
+    return [(None, header, rows)]
 
 
 # ---------------------------------------------------------------------------

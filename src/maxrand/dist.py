@@ -53,6 +53,10 @@ class UniformLabels:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise DomainError(f"label count m must be >= 2, got {self.m}")
+        if self.m > sys.float_info.max:
+            raise DomainError(
+                f"label count m={self.m} exceeds the largest float, {sys.float_info.max:.4g}"
+            )
 
     @property
     def p(self) -> float:
@@ -83,10 +87,9 @@ class PerExampleLabels:
 
     def __init__(self, probabilities: Sequence[float]) -> None:
         histogram = Counter(probabilities)
-        if not all(0.0 < p <= 1.0 for p in histogram):
-            for i, p in enumerate(probabilities):
-                if not 0.0 < p <= 1.0:
-                    raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
+        if not all(map(_is_probability, histogram)):
+            i, p = next((i, p) for i, p in enumerate(probabilities) if not _is_probability(p))
+            raise DomainError(f"probability {p!r} at index {i} is outside (0, 1]")
         self._store((float(p), k) for p, k in histogram.items())
 
     def _store(self, histogram: Iterable[tuple[float, int]]) -> None:
@@ -108,10 +111,9 @@ class PerExampleLabels:
         then looked for in ``counts``, so the error names its index.
         """
         histogram = Counter(counts)
-        if any(int(c) != c or c < 1 for c in histogram):
-            for i, c in enumerate(counts):
-                if int(c) != c or c < 1:
-                    raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
+        if not all(map(_is_label_count, histogram)):
+            i, c = next((i, c) for i, c in enumerate(counts) if not _is_label_count(c))
+            raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
         pairs = []
         for c, k in histogram.items():
             try:
@@ -154,6 +156,20 @@ class PerExampleLabels:
 
 
 LabelScheme = UniformLabels | PerExampleLabels
+
+
+def _is_probability(p: object) -> bool:
+    try:
+        return 0.0 < p <= 1.0
+    except TypeError:  # None, a string
+        return False
+
+
+def _is_label_count(c: object) -> bool:
+    try:
+        return int(c) == c and c >= 1
+    except (TypeError, ValueError, OverflowError):  # None; NaN or a string; infinity
+        return False
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ __all__ = [
     "GENERATOR",
     "ENUMERATION_LIMIT",
     "MAX_TRIALS",
+    "MAX_DRAWS",
     "SimulationConfig",
     "SimulationResult",
     "simulate_expected_max",
@@ -41,6 +42,11 @@ ENUMERATION_LIMIT = 10**7
 # standard deviation take 16 bytes per trial, so 10^8 trials need about
 # 1.6 GB; a larger request is refused before anything is allocated.
 MAX_TRIALS = 10**8
+
+# Largest number of uniforms drawn, trials * t: about four minutes at the
+# 4·10^7 draws a second of one x86-64 core.  A larger request is refused
+# before any draw.
+MAX_DRAWS = 10**10
 
 # Uniform draws per batch.  Batching bounds memory without changing the
 # draw order, so results are independent of the batch size.  A trial with
@@ -63,6 +69,9 @@ class SimulationConfig:
             raise FeasibilityError(
                 f"trials={self.trials} exceeds the largest supported trial count, {MAX_TRIALS}"
             )
+        if self.trials * self.spec.t > MAX_DRAWS:
+            raise FeasibilityError(f"trials * t = {self.trials * self.spec.t} exceeds the largest "
+                                   f"supported number of draws, {MAX_DRAWS}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

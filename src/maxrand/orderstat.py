@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -78,6 +79,14 @@ _BASE_CACHE_BYTES = 128 * 2**20
 _T_BLOCK_ELEMENTS = 2**15
 
 
+def _check_t(t: int) -> None:
+    """Reject ``t`` outside 1..the largest float: every formula raises a tail to the power t."""
+    if t < 1:
+        raise DomainError(f"t must be >= 1, got {t}")
+    if t > sys.float_info.max:
+        raise DomainError(f"t={t} exceeds the largest float, {sys.float_info.max:.4g}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """An evaluation setup: ``n`` examples, a label scheme, ``t`` reuses.
@@ -93,8 +102,7 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-        if self.t < 1:
-            raise DomainError(f"t must be >= 1, got {self.t}")
+        _check_t(self.t)
         if isinstance(self.labels, PerExampleLabels) and self.labels.n != self.n:
             raise DomainError(
                 f"per-example scheme has {self.labels.n} probabilities but n={self.n}"
@@ -227,8 +235,7 @@ def max_order_distribution(base: CountDistribution, t: int) -> MaxOrderDistribut
     so that large ``t`` keeps full precision, and the pmf is the difference
     of consecutive cdf values.  ``t = 1`` returns the base arrays unchanged.
     """
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
+    _check_t(t)
     if t == 1:
         pmf_max = base.pmf.copy()
         cdf_max = base.cdf
@@ -265,8 +272,7 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
     row summed on its own.
     """
     for t in ts:
-        if t < 1:
-            raise DomainError(f"t must be >= 1, got {t}")
+        _check_t(t)
     base = _base(spec)
     values = np.empty(len(ts))
     at_one = np.array([t == 1 for t in ts], dtype=bool)
@@ -274,15 +280,16 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
     rows = np.flatnonzero(~at_one)
     if rows.size:
         times = np.array([float(t) for t in ts])
-        with np.errstate(divide="ignore"):
+        # t log(1 - S) is -inf at S = 1, or when it overflows: -expm1 gives 1, the exact limit.
+        with np.errstate(divide="ignore", over="ignore"):
             log_below = np.log1p(-base.sf[1:])
-        step = max(1, _T_BLOCK_ELEMENTS // log_below.size)
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
-            terms = np.multiply.outer(times[block], log_below)
-            np.expm1(terms, out=terms)
-            np.negative(terms, out=terms)
-            values[block] = terms.sum(axis=1)
+            step = max(1, _T_BLOCK_ELEMENTS // log_below.size)
+            for start in range(0, rows.size, step):
+                block = rows[start : start + step]
+                terms = np.multiply.outer(times[block], log_below)
+                np.expm1(terms, out=terms)
+                np.negative(terms, out=terms)
+                values[block] = terms.sum(axis=1)
         values[rows] /= spec.n
     return values
 
@@ -292,7 +299,7 @@ def max_tail(tail, t: int):
     form, which stays accurate both when the tail is near 1 and deep in the upper tail."""
     if t == 1:
         return tail
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return -np.expm1(t * np.log1p(-tail))
 
 

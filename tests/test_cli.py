@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import maxrand.dist as dist_mod
+import maxrand.oracle as oracle_mod
 from maxrand import PerExampleLabels, TaskSpec, enumerate_max_pmf
 from maxrand.cli import main
 
@@ -356,6 +358,24 @@ class TestSimulateCommand:
         assert result.stdout == ""
 
 
+    @pytest.mark.parametrize("t, trials", [(10**12, 1), (10**6, 10**5), (10**308, 1)])
+    def test_too_many_draws_exit_3_before_drawing(self, runner, monkeypatch, t, trials):
+        def must_not_run(*args):
+            raise AssertionError("uniforms were drawn")
+
+        monkeypatch.setattr(oracle_mod, "_largest_uniforms", must_not_run)
+        result = runner.invoke(
+            main, ["simulate", "--n", "10", "--m", "2", "--t", str(t),
+                   "--trials", str(trials), "--seed", "1"],
+        )
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"error: trials * t = {trials * t} exceeds the largest supported number of draws, "
+            f"{10**10}\n"
+        )
+        assert result.stdout == ""
+
+
 class TestCurveCommand:
     def test_pair_sample(self, runner, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -385,6 +405,19 @@ class TestCurveCommand:
         for row in rows(result.output):
             assert float(row["empirical_expected_max"]) == 0.6
 
+    def test_default_axis_over_a_million_points_exits_2(self, runner, tmp_path):
+        record = json.loads(CURVE_JSONL) | {"t": 10**7}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, ["curve", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "warning: record 'c1': t=10000000 but 2 per-prompt accuracies given; t wins\n"
+            "error: record 'c1': the t axis 1..10000000 has over 10^6 points; use --t\n"
+        )
+        assert result.stdout == ""
+        assert runner.invoke(main, ["curve", str(path), "--t", "1:10000000:3"]).exit_code == 0
+
     def test_missing_per_prompt_exits_2(self, runner, tmp_path):
         payload = {
             "id": "x", "model": "m", "dataset": "d", "n": 10, "labels": 2, "t": 3,
@@ -395,6 +428,95 @@ class TestCurveCommand:
         result = runner.invoke(main, ["curve", str(path)])
         assert result.exit_code == 2
         assert "per_prompt_accuracies" in result.stderr
+
+
+BEYOND_FLOATS = str(10**400)
+AT_FLOAT_LIMIT = str(10**308)
+
+
+class TestFloatLimits:
+    """t and m above the largest float exit 2; t just below it prints without warnings."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["baseline", "--n", "10", "--m", "2", "--t", BEYOND_FLOATS],
+            ["pvalue", "--n", "10", "--m", "2", "--t", BEYOND_FLOATS, "--acc", "0.5"],
+            ["threshold", "--n", "10", "--m", "2", "--t", BEYOND_FLOATS, "--alpha", "0.05"],
+            ["grid", "--n", "10", "--m", "2", "--t", f"1,{BEYOND_FLOATS}"],
+            ["grid", "--n", "10", "--m", "2", "--t", f"1:{BEYOND_FLOATS}:3"],
+            ["grid", "--n", f"1:{BEYOND_FLOATS}:3", "--m", "2", "--t", "2"],
+            ["simulate", "--n", "10", "--m", "2", "--t", BEYOND_FLOATS,
+             "--trials", "1", "--seed", "1"],
+            ["baseline", "--n", "10", "--m", BEYOND_FLOATS, "--t", "2"],
+        ],
+        ids=["baseline", "pvalue", "threshold", "grid", "grid-log-t", "grid-log-n", "simulate",
+             "m"],
+    )
+    def test_flags_beyond_the_largest_float_exit_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(["audit"], {"t": 10**400}), (["audit"], {"labels": 10**400}),
+         (["audit"], {"observed_max_accuracy": 10**400}),
+         (["curve", "--t", f"1,{BEYOND_FLOATS}"], {})],
+        ids=["audit-t", "audit-labels", "audit-accuracy", "curve"],
+    )
+    def test_records_beyond_the_largest_float_exit_2(self, runner, tmp_path, args, field):
+        record = {"id": "r", "model": "m", "dataset": "d", "n": 10, "labels": 2, "t": 2,
+                  "observed_max_accuracy": 0.4, "per_prompt_accuracies": [0.2, 0.4], **field}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "exceeds the largest float" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["baseline", "--n", "10", "--m", "2", "--t", AT_FLOAT_LIMIT],
+             "expected_standard,expected_max,min_accuracy_beating_max\n0.5,1,\n"),
+            (["threshold", "--n", "10", "--m", "2", "--t", AT_FLOAT_LIMIT, "--alpha", "0.05"],
+             "min_accuracy_beating_max,min_accuracy_at_significance\n,\n"),
+            (["grid", "--n", "10", "--m", "2", "--t", f"1,{AT_FLOAT_LIMIT}"],
+             f"n,t,value\n10,1,0.5\n10,{AT_FLOAT_LIMIT},1\n"),
+        ],
+        ids=["baseline", "threshold", "grid"],
+    )
+    def test_t_at_the_float_limit_prints_cleanly(self, runner, args, expected):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout == expected
+
+
+# Option names of each command's --help, as every release so far has listed them.
+HELP_OPTIONS = {
+    "baseline": ["--n", "--m", "--labels", "--t", "--format", "--out", "--help"],
+    "pvalue": ["--n", "--m", "--labels", "--t", "--acc", "--format", "--out", "--help"],
+    "threshold": ["--n", "--m", "--labels", "--t", "--alpha", "--format", "--out", "--help"],
+    "grid": ["--n", "--t", "--m", "--labels", "--quantity", "--acc", "--alpha", "--format",
+             "--out", "--help"],
+    "audit": ["--input-format", "--eval-heldout", "--format", "--out", "--help"],
+    "simulate": ["--n", "--m", "--labels", "--t", "--trials", "--seed", "--format", "--out",
+                 "--help"],
+    "curve": ["--input-format", "--t", "--format", "--out", "--help"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS)
+def test_help_lists_the_same_options(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert re.findall(r"^  (--[a-z-]+)", result.stdout, flags=re.MULTILINE) == HELP_OPTIONS[command]
 
 
 class TestDeterminismAndErrors:

@@ -177,9 +177,31 @@ def test_probability_checks_name_the_first_bad_value(probabilities, message):
 
 
 def test_non_numbers_are_compared_as_python_compares_them():
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match=r"probability '0.5' at index 1 is outside"):
         PerExampleLabels((0.5, "0.5"))
     with pytest.raises(TypeError):
         PerExampleLabels((0.5, [0.5]))
     assert PerExampleLabels((True, 0.5)) == PerExampleLabels((1.0, 0.5))
     assert PerExampleLabels([0.5, 0.25]).probabilities == (0.5, 0.25)
+
+
+@pytest.mark.parametrize(
+    "build, values, message",
+    [
+        (PerExampleLabels.from_label_counts, [2, math.inf],
+         "label count inf at index 1 must be a positive integer"),
+        (PerExampleLabels.from_label_counts, [2, math.nan],
+         "label count nan at index 1 must be a positive integer"),
+        (PerExampleLabels.from_label_counts, [2, "x"],
+         "label count 'x' at index 1 must be a positive integer"),
+        (PerExampleLabels.from_label_counts, [2, None],
+         "label count None at index 1 must be a positive integer"),
+        (PerExampleLabels, [0.5, "x"], "probability 'x' at index 1 is outside (0, 1]"),
+        (PerExampleLabels, [0.5, None], "probability None at index 1 is outside (0, 1]"),
+    ],
+    ids=["inf", "nan", "string", "none", "probability-string", "probability-none"],
+)
+def test_values_that_are_not_counts_or_probabilities_are_domain_errors(build, values, message):
+    with pytest.raises(DomainError) as caught:
+        build(values)
+    assert str(caught.value) == message

@@ -114,6 +114,13 @@ def test_config_validation():
         SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_TRIALS + 1, seed=1)
 
 
+def test_draws_are_bounded_before_any_is_made():
+    spec = TaskSpec.uniform(2, 2, 10**5)
+    SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_DRAWS // 10**5, seed=1)
+    with pytest.raises(FeasibilityError, match=r"trials \* t = 10000100000 exceeds"):
+        SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_DRAWS // 10**5 + 1, seed=1)
+
+
 class TestEnumerateMaxPmf:
     def test_single_example_two_classifiers(self):
         pmf = enumerate_max_pmf(TaskSpec.uniform(1, 2, 2))
