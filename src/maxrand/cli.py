@@ -90,7 +90,7 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
     CSV prints each section as a header plus rows, blocks separated by a
     blank line, so an empty section still prints its header.  JSON prints
     one object per row, keyed by the header and led by ``kind`` unless
-    the kind is None.
+    the kind is None.  A file that cannot be written is a validation error.
     """
     if fmt == "json":
         text = "".join(
@@ -107,7 +107,11 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
     if out is None:
         _write(sys.stdout, text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _write(sys.stderr, f"error: cannot write --out {out}: {exc.strerror or exc}\n")
+            raise SystemExit(_VALIDATION_EXIT) from None
 
 
 def _record(payload: dict) -> list:

@@ -118,15 +118,16 @@ def _simulated_maxima(config: SimulationConfig) -> np.ndarray:
     spec = config.spec
     base = count_distribution(spec.labels, spec.n)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    cdf = base.cdf
+    # P(X <= k) for the counts k = lo..hi of the window; below it the cdf is 0.
+    cdf = np.append(1.0 - base.window_sf[1:], 1.0)
     maxima = np.empty(config.trials)
     rows_per_chunk = max(1, _CHUNK_DRAWS // spec.t)
     done = 0
     while done < config.trials:
         rows = min(rows_per_chunk, config.trials - done)
         top = _largest_uniforms(rng, rows, spec.t)
-        # top in [0, 1) and cdf[n] == 1, so every lookup lands in 0..n.
-        maxima[done : done + rows] = np.searchsorted(cdf, top, side="right") / spec.n
+        # top in [0, 1) and cdf[-1] == 1, so every lookup lands in lo..hi.
+        maxima[done : done + rows] = (base.lo + np.searchsorted(cdf, top, side="right")) / spec.n
         done += rows
     return maxima
 

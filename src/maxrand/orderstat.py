@@ -11,9 +11,7 @@ lookups in these tails, and the least accuracies that clear either bar
 are searches over them.
 
 Everything here is a pure function of immutable inputs and is safe to
-call concurrently.  (Builds in two threads may grow ``dist``'s shared
-log-factorial table at once; the race is benign, as both compute the
-same values.)
+call concurrently.
 """
 
 from __future__ import annotations
@@ -69,9 +67,10 @@ COUNT_TOLERANCE = 1e-6
 _TIE_GUARD = 1e-9
 
 # The base-distribution cache holds at most this many bytes of arrays.  A
-# task's entry is 16 * (n + 1) bytes, so 128 MiB keeps 400 tasks of
-# n = 20000, or eight of n = 10^6.
-_BASE_CACHE_BYTES = 128 * 2**20
+# task's entry is 16 bytes per count of its window, at most about
+# 16 * 38.6 * sqrt(n) bytes, so 32 MiB keeps 380 tasks of n = 20000, or 54
+# of n = 10^6.
+_BASE_CACHE_BYTES = 32 * 2**20
 
 # Elements (float64) of each block of the t-by-k array that
 # expected_max_accuracies sums row by row: a whole t axis then needs no
@@ -151,8 +150,8 @@ _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "entries", "nbytes", "ma
 def _lru_by_bytes(max_bytes: int):
     """Like ``functools.lru_cache``, but bounded by the bytes of the cached distributions.
 
-    Entries range from 32 bytes to 160 MB (n up to ``MAX_N``), so a bound
-    on their number bounds neither memory nor how many tasks stay cached.
+    Entries range from 16 bytes to 2 MB (n up to ``MAX_N``), so a bound on
+    their number bounds neither memory nor how many tasks stay cached.
     The newest entry always stays, even when it alone exceeds the bound.
     A build runs outside the lock; two threads that miss on the same key
     both build it, and the first result to finish stays cached.
@@ -174,7 +173,7 @@ def _lru_by_bytes(max_bytes: int):
                     return found[0]
                 misses += 1
             value = build(key)
-            size = value.pmf.nbytes + value.sf.nbytes
+            size = value.window_pmf.nbytes + value.window_sf.nbytes
             with lock:
                 if key not in entries:
                     entries[key] = (value, size)
@@ -220,6 +219,8 @@ def accuracy_to_count(n: int, observed: float) -> int:
     """
     if not 0.0 <= observed <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {observed}")
+    if n > sys.float_info.max:
+        raise DomainError(f"n={n} exceeds the largest float, {sys.float_info.max:.4g}")
     count = round(n * observed)
     if abs(n * observed - count) > min(COUNT_TOLERANCE * n, 0.25):
         raise DomainError(
@@ -237,7 +238,7 @@ def max_order_distribution(base: CountDistribution, t: int) -> MaxOrderDistribut
     """
     _check_t(t)
     if t == 1:
-        pmf_max = base.pmf.copy()
+        pmf_max = base.pmf
         cdf_max = base.cdf
     else:
         with np.errstate(divide="ignore"):
@@ -266,10 +267,13 @@ def expected_max_accuracy(spec: TaskSpec) -> float:
 def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
     """:func:`expected_max_accuracy` of ``spec``'s task at each ``t`` in ``ts``.
 
-    ``spec.t`` is not used.  ``log1p(-S(k))`` is computed once, and the
-    rows ``-expm1(t log1p(-S(k)))`` are summed over ``k`` in blocks of at
-    most ``_T_BLOCK_ELEMENTS``; each row sum has the same bits as the
-    row summed on its own.
+    ``spec.t`` is not used.  The terms for ``k = 1..lo`` of the base
+    distribution's window are exactly 1, as ``S(k) = 1`` there, and those
+    above the window are 0.  Over the rest of the window, ``log1p(-S(k))``
+    is computed once, and the rows
+    ``-expm1(t log1p(-S(k)))`` are summed over ``k`` in blocks of at most
+    ``_T_BLOCK_ELEMENTS``; each row sum has the same bits as the row summed
+    on its own.
     """
     for t in ts:
         _check_t(t)
@@ -282,14 +286,15 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
         times = np.array([float(t) for t in ts])
         # t log(1 - S) is -inf at S = 1, or when it overflows: -expm1 gives 1, the exact limit.
         with np.errstate(divide="ignore", over="ignore"):
-            log_below = np.log1p(-base.sf[1:])
-            step = max(1, _T_BLOCK_ELEMENTS // log_below.size)
+            log_below = np.log1p(-base.window_sf[1:])
+            step = max(1, _T_BLOCK_ELEMENTS // max(1, log_below.size))
             for start in range(0, rows.size, step):
                 block = rows[start : start + step]
                 terms = np.multiply.outer(times[block], log_below)
                 np.expm1(terms, out=terms)
                 np.negative(terms, out=terms)
                 values[block] = terms.sum(axis=1)
+        values[rows] += base.lo
         values[rows] /= spec.n
     return values
 
@@ -297,6 +302,7 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
 def max_tail(tail, t: int):
     """P(best of t >= k) = 1 - (1 - S(k))^t from the tail(s) ``S(k)``, in expm1/log1p
     form, which stays accurate both when the tail is near 1 and deep in the upper tail."""
+    _check_t(t)
     if t == 1:
         return tail
     with np.errstate(divide="ignore", over="ignore"):
@@ -362,13 +368,15 @@ def min_accuracy_at_significance(spec: TaskSpec, alpha: float) -> float | None:
     """Least attainable accuracy whose max-baseline p-value is below ``alpha``.
 
     The first count where the (nonincreasing) p-value drops below
-    ``alpha``; None when even a perfect score is not significant.
+    ``alpha``, searched over the window of the base distribution; above
+    it the p-value is 0.  None when even a perfect score is not significant.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    significant = max_tail(_base(spec).sf, spec.t) < alpha
-    k = int(np.argmax(significant))
-    return k / spec.n if significant[k] else None
+    base = _base(spec)
+    significant = np.append(max_tail(base.window_sf, spec.t) < alpha, True)
+    k = base.lo + int(np.argmax(significant))
+    return k / spec.n if k <= spec.n else None
 
 
 def baseline_report(spec: TaskSpec, observed_accuracy: float | None = None) -> BaselineReport:

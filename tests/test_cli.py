@@ -50,10 +50,17 @@ def runner():
 def no_pmf_builds(monkeypatch):
     """Fail at once, instead of exhausting memory, if a binomial pmf is built."""
 
-    def must_not_run(size):
-        raise AssertionError(f"log-factorials up to {size} were built")
+    def must_not_run(n, p):
+        raise AssertionError(f"a Binomial({n}, {p}) pmf was built")
 
-    monkeypatch.setattr(dist_mod, "_log_factorials", must_not_run)
+    monkeypatch.setattr(dist_mod, "_binomial_window", must_not_run)
+
+
+def env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def rows(output: str) -> list[dict]:
@@ -311,6 +318,17 @@ class TestAuditCommand:
         assert result.stderr.startswith(f"error: row 1: n={10**24} exceeds the largest")
         assert result.stdout == ""
 
+    def test_a_heldout_n_too_large_for_a_float_is_a_row_error(self, runner, tmp_path):
+        record = {"id": "r", "model": "m", "dataset": "d", "n": 10, "labels": 2, "t": 1,
+                  "observed_max_accuracy": 0.5, "heldout_n": 10**400, "heldout_accuracy": 0.0}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        for command in ("audit", "curve"):
+            result = runner.invoke(main, [command, str(path)])
+            assert result.exit_code == 2
+            assert result.stderr.startswith(f"error: row 1: n={10**400} exceeds the largest float")
+            assert result.stdout == ""
+
     def test_a_count_too_large_for_a_float_is_a_row_error(self, runner, tmp_path):
         record = {"id": "r", "model": "m", "dataset": "d", "n": 3, "labels": [2, 3, 10**400],
                   "t": 3, "observed_max_accuracy": 2 / 3}
@@ -330,6 +348,19 @@ class TestAuditCommand:
         assert result.exit_code == 0
         assert result.output == ""
         assert "category" in out.read_text()
+
+    @pytest.mark.parametrize("command", [["baseline", "--n", "10", "--m", "2", "--t", "2"],
+                                         ["audit", "RECORDS"]])
+    def test_out_into_a_missing_directory_exits_2(self, runner, tmp_path, command):
+        path = tmp_path / "records.csv"
+        path.write_text(AUDIT_CSV)
+        out = tmp_path / "missing" / "x.csv"
+        args = [str(path) if arg == "RECORDS" else arg for arg in command]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot write --out {out}: No such file or directory\n"
+        assert result.stdout == ""
+        assert not out.parent.exists()
 
 
 class TestSimulateCommand:
@@ -559,19 +590,32 @@ class TestDeterminismAndErrors:
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
-    def test_unnormalizable_large_n_exits_3(self, flags):
-        # The binomial pmf at this n misses unit mass by more than 1e-9.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+    def test_pmf_missing_mass_exits_3(self, flags):
+        # The mass check is a raise, not an assert, so -O keeps it.
+        script = (
+            "import maxrand.dist as dist\n"
+            "build = dist._binomial_window\n"
+            "def short(n, p):\n"
+            "    lo, pmf = build(n, p)\n"
+            "    return lo, pmf * (1 - 1e-6)\n"
+            "dist._binomial_window = short\n"
+            "from maxrand.cli import main\n"
+            "main()\n"
+        )
         result = subprocess.run(
-            [sys.executable, *flags, "-m", "maxrand.cli",
-             "baseline", "--n", "952000", "--m", "2", "--t", "1"],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *flags, "-c", script, "baseline", "--n", "952000", "--m", "2",
+             "--t", "1"],
+            capture_output=True, text=True, env=env_with_src(), timeout=120,
         )
         assert result.returncode == 3
         assert result.stdout == ""
-        assert result.stderr.startswith("error: ") and "n=952000" in result.stderr
+        assert result.stderr.startswith("error: the count distribution for n=952000 misses")
+
+    def test_importing_the_cli_loads_no_reference_library(self):
+        script = "import sys, maxrand.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env_with_src(), timeout=120)
+        assert (result.returncode, result.stdout) == (0, "[]\n")
 
     def test_in_process_calls_release_their_redirected_streams(self):
         buffers = []

@@ -6,8 +6,9 @@ empty when it fails.  The sizes a command may be asked for are bounded,
 so that no example allocates much or runs long: ``n <= 2000``, at most
 50 trials, ``t <= 1000`` for ``simulate`` and axes of a few points.  The
 out-of-range values 0, -1, ``MAX_N + 1`` and ``10**400`` are mixed in,
-because they are rejected before anything is allocated.  ``--out`` is
-never passed.
+because they are rejected before anything is allocated.  Some examples
+pass ``--out`` under ``tmp_path``, some of them into a directory that does
+not exist: then stdout stays empty, and the missing directory is an error.
 """
 
 import csv
@@ -24,7 +25,9 @@ from hypothesis import strategies as st
 from maxrand.cli import main
 from maxrand.dist import MAX_N
 
-FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# tmp_path is shared by the examples of a test; each writes the same file name.
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 OUT_OF_RANGE = [0, -1, MAX_N + 1, 10**400]
 
@@ -57,6 +60,10 @@ axes = st.one_of(
 )
 
 
+# Where --out points, relative to tmp_path; None passes no --out.
+outs = st.sampled_from([None, None, "out.csv", "missing/out.csv"])
+
+
 def scheme_flags(scheme) -> list[str]:
     m, labels = scheme
     return (["--m", str(m)] if m is not None else []) + (
@@ -64,34 +71,43 @@ def scheme_flags(scheme) -> list[str]:
     )
 
 
-def check(args: list[str]) -> None:
+def check(args: list[str], tmp_path: Path, out: str | None) -> None:
+    if out is not None:
+        args = [*args, "--out", str(tmp_path / out)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (args, result.stderr, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exception)
     assert "Traceback" not in result.stderr, args
-    if result.exit_code != 0:
+    if result.exit_code != 0 or out is not None:
         assert result.stdout == "", args
+    if out is not None and not (tmp_path / out).parent.is_dir():
+        assert result.exit_code != 0, args
+        assert any(line.startswith("error: ") for line in result.stderr.splitlines()), args
 
 
 @FUZZ
-@given(n=ns, scheme=schemes, t=ts, fmt=st.sampled_from(["csv", "json"]))
-@example(n=10, scheme=(2, None), t=10**400, fmt="csv")  # once an OverflowError traceback
-def test_baseline(n, scheme, t, fmt):
-    check(["baseline", "--n", str(n), *scheme_flags(scheme), "--t", str(t), "--format", fmt])
+@given(n=ns, scheme=schemes, t=ts, fmt=st.sampled_from(["csv", "json"]), out=outs)
+@example(n=10, scheme=(2, None), t=10**400, fmt="csv", out=None)  # once an OverflowError
+@example(n=10, scheme=(2, None), t=2, fmt="csv", out="missing/out.csv")  # once a traceback
+def test_baseline(tmp_path, n, scheme, t, fmt, out):
+    check(["baseline", "--n", str(n), *scheme_flags(scheme), "--t", str(t), "--format", fmt],
+          tmp_path, out)
 
 
 @FUZZ
-@given(n=ns, scheme=schemes, t=ts, acc=probabilities)
-def test_pvalue(n, scheme, t, acc):
-    check(["pvalue", "--n", str(n), *scheme_flags(scheme), "--t", str(t), "--acc", repr(acc)])
+@given(n=ns, scheme=schemes, t=ts, acc=probabilities, out=outs)
+def test_pvalue(tmp_path, n, scheme, t, acc, out):
+    check(["pvalue", "--n", str(n), *scheme_flags(scheme), "--t", str(t), "--acc", repr(acc)],
+          tmp_path, out)
 
 
 @FUZZ
-@given(n=ns, scheme=schemes, t=ts, alpha=st.none() | probabilities)
-def test_threshold(n, scheme, t, alpha):
+@given(n=ns, scheme=schemes, t=ts, alpha=st.none() | probabilities, out=outs)
+def test_threshold(tmp_path, n, scheme, t, alpha, out):
     extra = ["--alpha", repr(alpha)] if alpha is not None else []
-    check(["threshold", "--n", str(n), *scheme_flags(scheme), "--t", str(t), *extra])
+    check(["threshold", "--n", str(n), *scheme_flags(scheme), "--t", str(t), *extra],
+          tmp_path, out)
 
 
 @FUZZ
@@ -102,12 +118,13 @@ def test_threshold(n, scheme, t, alpha):
     quantity=st.sampled_from(["expected_max", "p_value", "threshold"]),
     acc=st.none() | probabilities,
     alpha=st.none() | probabilities,
+    out=outs,
 )
-def test_grid(n_axis, t_axis, scheme, quantity, acc, alpha):
+def test_grid(tmp_path, n_axis, t_axis, scheme, quantity, acc, alpha, out):
     extra = ["--acc", repr(acc)] if acc is not None else []
     extra += ["--alpha", repr(alpha)] if alpha is not None else []
     check(["grid", "--n", n_axis, "--t", t_axis, *scheme_flags(scheme),
-           "--quantity", quantity, *extra])
+           "--quantity", quantity, *extra], tmp_path, out)
 
 
 @FUZZ
@@ -117,10 +134,11 @@ def test_grid(n_axis, t_axis, scheme, quantity, acc, alpha):
     t=simulate_ts,
     trials=sized(1, 50, [0, -1, 10**400]),
     seed=st.integers(-1, 2**64),
+    out=outs,
 )
-def test_simulate(n, scheme, t, trials, seed):
+def test_simulate(tmp_path, n, scheme, t, trials, seed, out):
     check(["simulate", "--n", str(n), *scheme_flags(scheme), "--t", str(t),
-           "--trials", str(trials), "--seed", str(seed)])
+           "--trials", str(trials), "--seed", str(seed)], tmp_path, out)
 
 
 FIELDS = ["id", "model", "dataset", "n", "labels", "t", "observed_max_accuracy",
@@ -185,19 +203,24 @@ input_files = st.tuples(
 
 
 @FUZZ
-@given(files=input_files, eval_heldout=st.booleans(), fmt=st.sampled_from(["csv", "json"]))
-def test_audit(files, eval_heldout, fmt):
+@given(files=input_files, eval_heldout=st.booleans(), fmt=st.sampled_from(["csv", "json"]),
+       out=outs)
+def test_audit(tmp_path, files, eval_heldout, fmt, out):
     rows, suffix, input_format = files
     with tempfile.TemporaryDirectory() as directory:
         path = write_records(directory, rows, suffix)
         check(["audit", path, *input_format, *(["--eval-heldout"] if eval_heldout else []),
-               "--format", fmt])
+               "--format", fmt], tmp_path, out)
 
 
 @FUZZ
-@given(files=input_files, t_axis=st.none() | axes)
-def test_curve(files, t_axis):
+@given(files=input_files, t_axis=st.none() | axes, out=outs)
+@example(files=([{"id": "r", "model": "a", "dataset": "x", "n": 1, "labels": 2, "t": 1,  # once
+                  "observed_max_accuracy": 0.0, "heldout_n": 10**400,  # an OverflowError
+                  "heldout_accuracy": 0.0}], ".jsonl", []), t_axis=None, out=None)
+def test_curve(tmp_path, files, t_axis, out):
     rows, suffix, input_format = files
     with tempfile.TemporaryDirectory() as directory:
         path = write_records(directory, rows, suffix)
-        check(["curve", path, *input_format, *(["--t", t_axis] if t_axis is not None else [])])
+        check(["curve", path, *input_format, *(["--t", t_axis] if t_axis is not None else [])],
+              tmp_path, out)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,13 @@ from maxrand import (
 )
 from maxrand.dist import tail_sums
 from oracles import bernoulli_enumeration_pmf, exact_binomial_pmf
+
+
+def stirlerr_50_digits(k: int):
+    """log(k!) - (k + 1/2) log(k) + k - log(2 pi) / 2 at 50 digits."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    return mp.loggamma(k + 1) - (k + mp.mpf(1) / 2) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
 
 
 class TestBinomialDistribution:
@@ -74,10 +82,10 @@ class TestBinomialDistribution:
     @pytest.mark.parametrize("n", [dist_mod.MAX_N + 1, 10**24])
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_rejects_n_above_the_bound_before_allocating(self, monkeypatch, n, p):
-        def must_not_run(size):
-            raise AssertionError(f"log-factorials up to {size} were built")
+        def must_not_run(n, p):
+            raise AssertionError(f"a Binomial({n}, {p}) pmf was built")
 
-        monkeypatch.setattr(dist_mod, "_log_factorials", must_not_run)
+        monkeypatch.setattr(dist_mod, "_binomial_window", must_not_run)
         with pytest.raises(FeasibilityError, match="exceeds the largest supported n"):
             binomial_distribution(n, p)
 
@@ -90,14 +98,42 @@ class TestBinomialDistribution:
         with pytest.raises(ValueError):
             dist.log_pmf[1000] = 0.0
 
-    def test_log_factorials_are_slices_of_one_table(self):
-        small = dist_mod._log_factorials(30)
-        large = dist_mod._log_factorials(3000)
-        assert small.tolist() == [math.lgamma(i + 1.0) for i in range(31)]
-        assert large.tolist() == [math.lgamma(i + 1.0) for i in range(3001)]
-        assert np.shares_memory(dist_mod._log_factorials(30), large)
-        with pytest.raises(ValueError):
-            large[0] = 1.0
+    def test_stirlerr_constants_are_recomputed_bit_for_bit(self):
+        table = dist_mod._STIRLERR_TABLE
+        assert len(table) == 16 and table[0] == 0.0  # entry 0 is never read
+        for k in range(1, 16):
+            assert table[k] == float(stirlerr_50_digits(k)), k
+
+    def test_stirlerr_series_meets_the_table_and_mpmath(self):
+        values = dist_mod._stirlerr(1, 10**6)
+        assert values[:15].tolist() == dist_mod._STIRLERR_TABLE[1:].tolist()
+        # The pmf adds stirlerr to its exponent, so its absolute error is what counts.
+        for k in [*range(16, 600), 10**4, 10**6]:
+            assert abs(values[k - 1] - float(stirlerr_50_digits(k))) <= 3e-17, k
+
+    @pytest.mark.parametrize("n", [940_000 + 4_000 * i for i in range(16)])
+    def test_every_probe_n_near_a_million_builds_with_unit_mass(self, n):
+        dist = binomial_distribution(n, 0.5)
+        assert dist.window_sf[0] == 1.0
+        assert abs(math.fsum(dist.window_pmf) - 1.0) <= 4 * 2.0**-53
+
+    @pytest.mark.parametrize("n", [1, 50, 2000, 10**5, 10**6])
+    @pytest.mark.parametrize("p", [0.5, 1 / 3, 0.1, 0.01])
+    def test_window_holds_every_nonzero_value(self, n, p):
+        dist = binomial_distribution(n, p)
+        lo, hi = dist_mod._window(n, n * p)
+        assert (dist.lo, dist.hi) == (lo, hi)
+        pmf, sf = dist.pmf, dist.sf
+        assert_array_equal(pmf[lo : hi + 1], dist.window_pmf)
+        assert not pmf[:lo].any() and not pmf[hi + 1 :].any()
+        assert (sf[: lo + 1] == 1.0).all() and not sf[hi + 1 :].any()
+        for k in (lo - 1, lo, lo + 1, (lo + hi) // 2, hi, hi + 1):
+            assert dist.tail(k) == (sf[k] if 0 <= k <= n else float(k <= 0))
+
+    def test_window_at_a_million_holds_38605_counts(self):
+        dist = binomial_distribution(10**6, 0.5)
+        assert (dist.lo, dist.hi) == (480_698, 519_302)
+        assert dist.window_pmf.nbytes + dist.window_sf.nbytes == 16 * 38_605
 
     def test_tail_is_upper_sum(self):
         dist = binomial_distribution(12, 0.4)
@@ -181,16 +217,6 @@ class TestPoissonBinomial:
         assert_allclose(pb.pmf, binom.pmf, atol=1e-12)
         assert_allclose(pb.cdf, binom.cdf, atol=1e-12)
 
-    def test_dynamic_program_bytes_match_the_copying_loop(self):
-        probs = [1.0 / (2 + (7 * i) % 9) for i in range(3000)]
-        reference = np.zeros(len(probs) + 1)
-        reference[0] = 1.0
-        for i, p in enumerate(probs, start=1):
-            head = reference[:i].copy()
-            reference[:i] = head * (1.0 - p)
-            reference[1 : i + 1] += head * p
-        assert np.array_equal(poisson_binomial_distribution(probs).pmf, reference)
-
     def test_rejects_zero_probability_and_empty(self):
         with pytest.raises(DomainError):
             poisson_binomial_distribution([0.5, 0.0])
@@ -262,13 +288,14 @@ class TestLabelSchemes:
         rng = np.random.default_rng(2000)
         counts = rng.integers(2, 11, size=2000).tolist()
         shuffled = rng.permutation(counts).tolist()
-        given_order = [poisson_binomial_distribution([1.0 / c for c in order]).pmf
+        given_order = [poisson_binomial_distribution([1.0 / c for c in order])
                        for order in (counts, shuffled)]
-        assert not np.array_equal(*given_order)  # summation order shows at this size
-        first, second = (count_distribution(PerExampleLabels.from_label_counts(order), 2000)
-                         for order in (counts, shuffled))
-        assert_array_equal(first.pmf, second.pmf)
-        assert_array_equal(first.sf, second.sf)
+        schemes = [count_distribution(PerExampleLabels.from_label_counts(order), 2000)
+                   for order in (counts, shuffled)]
+        for dist in given_order[1:] + schemes:
+            assert dist.lo == given_order[0].lo
+            assert_array_equal(dist.window_pmf, given_order[0].window_pmf)
+            assert_array_equal(dist.window_sf, given_order[0].window_sf)
 
     def test_count_distribution_length_mismatch(self):
         with pytest.raises(DomainError):

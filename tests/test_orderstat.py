@@ -27,6 +27,7 @@ from maxrand import (
     tail_probability_max,
     tail_probability_standard,
 )
+from maxrand.orderstat import max_tail
 from oracles import expected_accuracy_of_pmf, max_tuple_enumeration_pmf
 
 
@@ -188,12 +189,13 @@ class TestExpectedMaxAccuracy:
 
 
 def expected_max_one_t(spec, t):
-    """The maximum baseline at one t, summed over k on its own."""
+    """The maximum baseline at one t, summed over the window on its own."""
     if t == 1:
         return expected_standard_accuracy(spec)
-    sf = count_distribution(spec.labels, spec.n).sf
+    base = count_distribution(spec.labels, spec.n)
     with np.errstate(divide="ignore"):
-        return float((-np.expm1(t * np.log1p(-sf[1:]))).sum()) / spec.n
+        window = float((-np.expm1(t * np.log1p(-base.window_sf[1:]))).sum())
+    return (window + base.lo) / spec.n
 
 
 class TestExpectedMaxAccuracies:
@@ -240,6 +242,13 @@ class TestPValues:
     def test_max_p_value_two_classifiers(self):
         spec = TaskSpec.uniform(2, 2, 2)
         assert abs(p_value_max(spec, 1.0) - 0.4375) < 1e-15
+
+    @pytest.mark.parametrize("t", [0, -1, 10**400])
+    def test_max_tail_checks_t(self, t):
+        with pytest.raises(DomainError, match="t"):
+            max_tail(0.5, t)
+        with pytest.raises(DomainError, match="t"):
+            max_tail(np.array([1.0, 0.5]), t)
 
     def test_t_one_p_values_coincide_exactly(self):
         spec = TaskSpec.uniform(30, 3, 1)
