@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import count_distribution
 from .errors import DomainError, FeasibilityError
-from .orderstat import TaskSpec
+from .orderstat import TaskSpec, _base
 
 __all__ = [
     "GENERATOR",
@@ -90,9 +90,11 @@ class SimulationResult:
 def simulate_expected_max(config: SimulationConfig) -> SimulationResult:
     """Estimate the expected maximum accuracy by direct simulation.
 
-    Each trial draws ``t`` iid counts by inverse-cdf lookup (binary
-    search on the precomputed cdf) and records the maximum accuracy;
-    returns the sample mean and its standard error.
+    Each trial draws ``t`` iid counts by inverse-cdf lookup and records
+    the maximum accuracy; returns the sample mean and its standard error.
+    The lookup is an exact guide table (see ``_InverseCdf``): it gives the
+    counts a binary search on the cdf would, with a search only for the
+    few draws that land in a bucket a cdf value splits.
     """
     maxima = _simulated_maxima(config)
     estimate = float(maxima.mean())
@@ -116,20 +118,65 @@ def _simulated_maxima(config: SimulationConfig) -> np.ndarray:
     gives the same maxima as looking up every draw.
     """
     spec = config.spec
-    base = count_distribution(spec.labels, spec.n)
+    base = _base(spec)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     # P(X <= k) for the counts k = lo..hi of the window; below it the cdf is 0.
     cdf = np.append(1.0 - base.window_sf[1:], 1.0)
+    lookup = _InverseCdf(cdf, base.lo, spec.n, _guide_size(len(cdf), config.trials))
     maxima = np.empty(config.trials)
     rows_per_chunk = max(1, _CHUNK_DRAWS // spec.t)
     done = 0
     while done < config.trials:
         rows = min(rows_per_chunk, config.trials - done)
-        top = _largest_uniforms(rng, rows, spec.t)
-        # top in [0, 1) and cdf[-1] == 1, so every lookup lands in lo..hi.
-        maxima[done : done + rows] = (base.lo + np.searchsorted(cdf, top, side="right")) / spec.n
+        lookup(_largest_uniforms(rng, rows, spec.t), out=maxima[done : done + rows])
         done += rows
     return maxima
+
+
+def _guide_size(window: int, trials: int) -> int:
+    """Buckets of the guide table: a power of two near 16 per window count, at most trials / 4.
+
+    Sixteen buckets per count leave few buckets that a cdf value splits,
+    so few keys need a search; the trial bound keeps the table's cost
+    below that of the searches it saves.
+    """
+    return 1 << min((16 * window - 1).bit_length(), max(trials // 4, 1).bit_length() - 1)
+
+
+class _InverseCdf:
+    """``u -> (lo + #{cdf <= u}) / n`` for ``u`` in [0, 1), by a guide table.
+
+    The guide table of Chen & Asau (1974; Devroye 1986, section III.2.4)
+    splits [0, 1) into ``size`` equal buckets.  ``size`` is a power of
+    two, so ``u * size`` and ``cdf * size`` are exact and bucket
+    ``j = floor(u * size)`` holds exactly the ``u`` with
+    ``j / size <= u < (j + 1) / size``.  When no cdf value lies strictly
+    inside a bucket, ``#{cdf <= u}`` is the same for all of its ``u`` and
+    the table stores that bucket's accuracy, from the same division as a
+    search would make; the other buckets hold NaN and their keys are
+    searched.  Each result equals ``(lo + searchsorted(cdf, u,
+    side="right")) / n`` bit for bit.
+    """
+
+    def __init__(self, cdf: np.ndarray, lo: int, n: int, size: int):
+        self.cdf, self.lo, self.n, self.size = cdf, lo, n, size
+        scaled = cdf * size
+        # below[j] = #{cdf <= j / size} and inside[j] = #{cdf < (j + 1) / size}.
+        below = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=size + 1)[:size])
+        inside = np.cumsum(np.bincount(np.floor(scaled).astype(np.intp), minlength=size + 1)[:size])
+        self.table = (lo + below) / n
+        self.table[below != inside] = np.nan
+
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # u < 1, so u * size < size fits int32 (size <= MAX_TRIALS / 4) and
+        # the cast truncates to the bucket; the product goes straight into
+        # int32, and mode="clip" lets np.take write into ``out`` unbuffered.
+        buckets = np.multiply(u, self.size, out=np.empty(len(u), np.int32), casting="unsafe")
+        np.take(self.table, buckets, out=out, mode="clip")
+        split = np.flatnonzero(np.isnan(out))
+        # u in [0, 1) and cdf[-1] == 1, so every search lands in lo..hi.
+        out[split] = (self.lo + np.searchsorted(self.cdf, u[split], side="right")) / self.n
+        return out
 
 
 def _largest_uniforms(rng: np.random.Generator, rows: int, t: int) -> np.ndarray:
@@ -141,7 +188,7 @@ def _largest_uniforms(rng: np.random.Generator, rows: int, t: int) -> np.ndarray
     """
     if t <= _CHUNK_DRAWS:
         u = rng.random((rows, t))
-        return u[:, 0] if t == 1 else u.max(axis=1)
+        return u.ravel() if t == 1 else u.max(axis=1)
     top = np.zeros(rows)
     for start in range(0, t, _CHUNK_DRAWS):
         np.maximum(top, rng.random((rows, min(_CHUNK_DRAWS, t - start))).max(axis=1), out=top)

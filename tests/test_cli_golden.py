@@ -42,6 +42,10 @@ CASES = [
     ("simulate", ["simulate", "--n", "20", "--m", "3", "--t", "5", "--trials", "2000", "--seed", "7"], 0),
     ("simulate-labels", ["simulate", "--n", "3", "--labels", "2;3;4", "--t", "2",
                          "--trials", "500", "--seed", "1"], 0),
+    ("simulate-window-above-zero", ["simulate", "--n", "5000", "--m", "3", "--t", "1",
+                                    "--trials", "200000", "--seed", "11"], 0),
+    ("simulate-labels-many-trials", ["simulate", "--n", "12", "--labels", "2;3;4;5;2;7;3;10;2;4;6;3",
+                                     "--t", "10", "--trials", "100000", "--seed", "5"], 0),
     ("curve", ["curve", "{in}/mixed.jsonl", "--t", "1:3"], 0),
     ("curve-default-axis", ["curve", "{in}/mixed.jsonl"], 0),
     ("audit-csv", ["audit", "{in}/mixed.csv"], 0),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import maxrand.oracle
@@ -16,6 +17,7 @@ from maxrand import (
     max_order_distribution,
     simulate_expected_max,
 )
+from maxrand.cli import main
 
 
 def test_reproducibility_is_exact():
@@ -67,6 +69,9 @@ def test_batching_does_not_change_the_stream(monkeypatch):
     assert simulate_expected_max(config) == reference
 
 
+PER_EXAMPLE = [2, 3, 4, 5, 2, 7, 3, 10, 2, 4, 6, 3]
+
+
 def per_draw_maxima(config):
     """Each trial's best accuracy with every one of its t draws looked up, in one draw."""
     spec = config.spec
@@ -77,18 +82,84 @@ def per_draw_maxima(config):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, trials",
     [
-        TaskSpec.uniform(1, 2, 1),
-        TaskSpec.uniform(20, 3, 1),
-        TaskSpec.uniform(20, 3, 7),
-        TaskSpec.uniform(100, 2, 200),
-        TaskSpec(n=4, labels=PerExampleLabels.from_label_counts([2, 3, 4, 10]), t=13),
+        pytest.param(TaskSpec.uniform(1, 2, 1), 3000, id="spec0"),
+        pytest.param(TaskSpec.uniform(20, 3, 1), 3000, id="spec1"),
+        pytest.param(TaskSpec.uniform(20, 3, 7), 3000, id="spec2"),
+        pytest.param(TaskSpec.uniform(100, 2, 200), 3000, id="spec3"),
+        pytest.param(TaskSpec(n=4, labels=PerExampleLabels.from_label_counts([2, 3, 4, 10]), t=13),
+                     3000, id="spec4"),
+        # Enough trials for a guide table of thousands of buckets.
+        pytest.param(TaskSpec.uniform(1000, 2, 1), 10**5, id="table-uniform"),
+        pytest.param(TaskSpec.uniform(100, 7, 10), 10**5, id="table-t-ten"),
+        pytest.param(TaskSpec(n=12, labels=PerExampleLabels.from_label_counts(PER_EXAMPLE), t=1),
+                     10**5, id="table-per-example"),
     ],
 )
-def test_one_lookup_per_trial_gives_the_maxima_of_every_lookup(spec):
-    config = SimulationConfig(spec=spec, trials=3000, seed=17)
+def test_one_lookup_per_trial_gives_the_maxima_of_every_lookup(spec, trials):
+    config = SimulationConfig(spec=spec, trials=trials, seed=17)
     assert np.array_equal(maxrand.oracle._simulated_maxima(config), per_draw_maxima(config))
+
+
+def window_cdf(spec):
+    base = count_distribution(spec.labels, spec.n)
+    return base, np.append(1.0 - base.window_sf[1:], 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(TaskSpec.uniform(5000, 3, 1), id="window-above-zero"),
+        pytest.param(TaskSpec(n=12, labels=PerExampleLabels.from_label_counts(PER_EXAMPLE), t=1),
+                     id="per-example"),
+        pytest.param(TaskSpec(n=1, labels=PerExampleLabels((1.0,)), t=1), id="certain"),
+        pytest.param(TaskSpec.uniform(1000, 2, 1), id="cdf-repeats-one"),
+    ],
+)
+@pytest.mark.parametrize("size", [1, 2, 64, 4096, 2**16])
+def test_guide_table_equals_the_search_on_adversarial_keys(spec, size):
+    base, cdf = window_cdf(spec)
+    edges = np.arange(size) / size
+    keys = np.concatenate([[0.0, 1 - 2**-53], cdf, edges])
+    keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+    keys = keys[keys < 1.0]
+    lookup = maxrand.oracle._InverseCdf(cdf, base.lo, spec.n, size)
+    found = lookup(keys, out=np.empty(len(keys)))
+    # Distinct counts below 2^53 divide by n to distinct doubles: equal
+    # accuracies are equal counts.
+    assert np.array_equal(found, (base.lo + np.searchsorted(cdf, keys, side="right")) / spec.n)
+
+
+def test_the_adversarial_schemes_have_what_they_are_named_for():
+    assert window_cdf(TaskSpec.uniform(5000, 3, 1))[0].lo > 0
+    assert window_cdf(TaskSpec.uniform(1000, 2, 1))[1][:-1].tolist().count(1.0) > 1
+    certain = window_cdf(TaskSpec(n=1, labels=PerExampleLabels((1.0,)), t=1))[1]
+    assert certain.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("window", [1, 101, 1001, 38_605])
+@pytest.mark.parametrize("trials", [1, 3, 100, 10**6, maxrand.oracle.MAX_TRIALS])
+def test_guide_size_is_a_power_of_two_within_the_trial_bound(window, trials):
+    size = maxrand.oracle._guide_size(window, trials)
+    assert size & (size - 1) == 0
+    assert size <= max(trials // 4, 1) and size < 2**31
+    assert size >= 16 * window or 2 * size > trials // 4
+
+
+def test_a_million_draws_search_for_under_two_percent_of_keys(monkeypatch):
+    searched = []
+    search = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    result = CliRunner().invoke(main, ["simulate", "--n", "1000", "--m", "2", "--t", "1",
+                                       "--trials", "1000000", "--seed", "3"])
+    assert result.exit_code == 0
+    assert searched and sum(searched) < 0.02 * 10**6
 
 
 @pytest.mark.parametrize("t", [9, 16, 17, 40])
