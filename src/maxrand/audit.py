@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -437,18 +438,29 @@ def parse_label_counts(text: str) -> PerExampleLabels:
 def _label_counts(values: Sequence[object]) -> PerExampleLabels:
     """Per-example scheme from counts each read as :func:`_parse_int` reads them.
 
-    Each distinct value is read once.  On an error the values are read
-    again one by one, so that the message names the first bad one.
+    One pass counts the values; each distinct value is then read once.  On
+    an error the values are read again one by one, so that the message
+    names the first bad one.
     """
     try:
-        if bool in set(map(type, values)):  # a set would merge True with the count 1
+        histogram = Counter(values)
+        # A Counter merges True with the count 1 (and False with 0), so the
+        # values are searched for a boolean only when 0 or 1 is a key,
+        # which it never is for text.
+        if (1 in histogram or 0 in histogram) and any(type(v) is bool for v in values):
             raise DomainError("labels must be integers, not booleans")
-        read = {value: _parse_int(value, "labels") for value in set(values)}
+        read = {value: _parse_int(value, "labels") for value in histogram}
     except (TypeError, DomainError):  # TypeError: a value does not hash
         for value in values:
             _parse_int(value, "labels")
         raise
-    return PerExampleLabels.from_label_counts(list(map(read.__getitem__, values)))
+    counts: Counter = Counter()
+    for value, k in histogram.items():
+        counts[read[value]] += k
+    scheme = PerExampleLabels._from_count_histogram(counts)
+    if scheme is None:  # a bad count: this raises, naming the first
+        scheme = PerExampleLabels.from_label_counts([read[value] for value in values])
+    return scheme
 
 
 def _parse_labels(value: object, field: str = "labels") -> LabelScheme:
@@ -500,13 +512,22 @@ def _parse_float(value: object, field: str) -> float:
     raise DomainError(f"{field} must be a number, got {value!r}")
 
 
+def _parse_text(value: object, field: str) -> str:
+    text = str(value)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape such as \ud800
+        raise DomainError(f"{field} {text!r} is not valid Unicode") from None
+    return text
+
+
 def _parse_accuracies(value: object, field: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise DomainError("must be an array of accuracies")
     return tuple(_parse_float(v, field) for v in value)
 
 
-# Every record field but the three strings, with its parser, in the order rows report errors.
+# Every record field with its parser, in the order rows report errors.
 _FIELD_PARSERS = (
     ("n", _parse_int),
     ("t", _parse_int),
@@ -515,6 +536,9 @@ _FIELD_PARSERS = (
     ("heldout_accuracy", _parse_float),
     ("heldout_n", _parse_int),
     ("per_prompt_accuracies", _parse_accuracies),
+    ("id", _parse_text),
+    ("model", _parse_text),
+    ("dataset", _parse_text),
 )
 
 
@@ -542,15 +566,16 @@ def _record_from_mapping(
     if not ok:
         return None
     try:
-        return ExperimentRecord(
-            id=str(present["id"]),
-            model=str(present["model"]),
-            dataset=str(present["dataset"]),
-            **fields,  # type: ignore[arg-type]
-        )
+        return ExperimentRecord(**fields)  # type: ignore[arg-type]
     except (DomainError, FeasibilityError) as exc:
         errors.append(RowError(row, None, str(exc)))
         return None
+
+
+# The longest CSV field read: 2 * 10^4 per-example label counts (the
+# documented per-example range) of up to 309 digits each, the length of the
+# largest float, with their separators.
+_CSV_FIELD_LIMIT = 2 * 10**4 * 310
 
 
 def read_records(source: str | Path | TextIO, format: str = "csv") -> LoadResult:
@@ -559,33 +584,56 @@ def read_records(source: str | Path | TextIO, format: str = "csv") -> LoadResult
     ``format`` is ``"csv"`` (header row required) or ``"jsonl"`` (one
     JSON object per line).  Malformed rows become :class:`RowError`
     entries carrying their row number instead of silently disappearing.
+    A file that is not UTF-8, and CSV that the reader cannot split into
+    rows, raise :class:`DomainError`.
     """
     if format not in ("csv", "jsonl"):
         raise DomainError(f"format must be 'csv' or 'jsonl', got {format!r}")
     if hasattr(source, "read"):
         return _read_stream(source, format)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _read_stream(handle, format)
+    try:
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return _read_stream(handle, format)
+    except UnicodeDecodeError:
+        raise DomainError(f"{source} is not UTF-8: {_first_bad_byte(source)}") from None
+
+
+def _first_bad_byte(path: str | Path) -> str:
+    """Where a file first fails to decode as UTF-8: the byte, its offset and why."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
+    return "it changed while it was read"
 
 
 def _read_stream(stream: TextIO, format: str) -> LoadResult:
     records: list[ExperimentRecord] = []
     errors: list[RowError] = []
     if format == "csv":
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise DomainError("CSV input has no header row")
-        for row_number, raw in enumerate(reader, start=1):
-            record = _record_from_mapping(raw, row_number, errors)
-            if record is not None:
-                records.append(record)
+        # The limit is process-wide; it is restored on the way out.
+        previous_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
+        try:
+            reader = csv.DictReader(stream)
+            if reader.fieldnames is None:
+                raise DomainError("CSV input has no header row")
+            for row_number, raw in enumerate(reader, start=1):
+                record = _record_from_mapping(raw, row_number, errors)
+                if record is not None:
+                    records.append(record)
+        except csv.Error as exc:  # line_num counts the lines read before the bad record
+            raise DomainError(f"CSV input line {reader.line_num + 1}: {exc}") from None
+        finally:
+            csv.field_size_limit(previous_limit)
     else:
         for row_number, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError: also an int too long
                 errors.append(RowError(row_number, None, f"invalid JSON: {exc}"))
                 continue
             if not isinstance(raw, dict):

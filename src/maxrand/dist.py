@@ -5,11 +5,13 @@ out of ``n`` examples right, and its accuracy is ``X / n``.  With the
 same ``m`` labels on every example, ``X`` is Binomial(n, 1/m); when the
 number of labels varies per example, ``X`` is Poisson binomial.  Both
 are computed exactly, and only on the window of counts where the pmf is
-not 0.0 in float64 (Hoeffding's bound, about 38.6 sqrt(n) counts wide):
-binomial pmfs by Loader's saddle-point form, a Poisson binomial as the
-convolution of one binomial per distinct p_i, then the upper tail
-``S(k) = P(X >= k)`` by one vectorised suffix sum per build, compensated
-with the error-free TwoSum transformation.  The cdf, the log-pmf and the
+not 0.0 in float64 (Chernoff's bound, within about 0.5% of the counts
+whose pmf is nonzero): binomial pmfs by Loader's saddle-point form, a
+Poisson binomial as the convolution of one binomial per distinct p_i,
+cut back after each step to the entries whose tail mass is not
+negligible, then the upper tail ``S(k) = P(X >= k)`` by one vectorised
+suffix sum per build, compensated with the error-free TwoSum
+transformation.  The cdf, the log-pmf and the
 arrays over every count are derived from these; an independent
 regularized-incomplete-beta binomial cdf serves as a cross-check.
 """
@@ -21,7 +23,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,19 +116,31 @@ class PerExampleLabels:
         Only the distinct counts are checked and inverted; a bad one is
         then looked for in ``counts``, so the error names its index.
         """
-        histogram = Counter(counts)
-        if not all(map(_is_label_count, histogram)):
-            i, c = next((i, c) for i, c in enumerate(counts) if not _is_label_count(c))
-            raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
+        scheme = cls._from_count_histogram(Counter(counts))
+        if scheme is not None:
+            return scheme
+        for i, c in enumerate(counts):
+            if not _is_label_count(c):
+                raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
+        i, c = next((i, c) for i, c in enumerate(counts) if _inverse(c) is None)
+        raise DomainError(
+            f"label count {c!r} at index {i} exceeds the largest float, "
+            f"{sys.float_info.max:.4g}"
+        )
+
+    @classmethod
+    def _from_count_histogram(cls, histogram: Mapping[object, int]) -> "PerExampleLabels | None":
+        """The scheme with ``histogram[c]`` examples of each label count ``c``.
+
+        None if a count is not a positive integer or its inverse is not a
+        float; :meth:`from_label_counts` names it.
+        """
         pairs = []
         for c, k in histogram.items():
-            try:
-                pairs.append((1.0 / int(c), k))
-            except OverflowError:  # int(c) does not fit in a float
-                raise DomainError(
-                    f"label count {c!r} at index {counts.index(c)} exceeds the largest float, "
-                    f"{sys.float_info.max:.4g}"
-                ) from None
+            p = _inverse(c) if _is_label_count(c) else None
+            if p is None:
+                return None
+            pairs.append((p, k))
         scheme = cls.__new__(cls)
         scheme._store(pairs)
         return scheme
@@ -149,7 +163,14 @@ class PerExampleLabels:
 
     @functools.cached_property
     def _mean(self) -> float:
-        return math.fsum(np.repeat(self.distinct, self.multiplicities)) / self.n
+        # The sum of every p_i, exactly: each p_i is an integer over a power
+        # of two, so one common denominator holds them all, and the int/int
+        # division rounds correctly, as fsum of the expanded p_i does.
+        ratios = [p.as_integer_ratio() for p in self.distinct]
+        denominator = max(den for _, den in ratios)
+        numerator = sum(k * num * (denominator // den)
+                        for (num, den), k in zip(ratios, self.multiplicities))
+        return numerator / denominator / self.n
 
     def expected_accuracy(self) -> float:
         """Expected accuracy of a single random guesser: the mean of the p_i (summed once)."""
@@ -171,6 +192,14 @@ def _is_label_count(c: object) -> bool:
         return int(c) == c and c >= 1
     except (TypeError, ValueError, OverflowError):  # None; NaN or a string; infinity
         return False
+
+
+def _inverse(c: int) -> float | None:
+    """1 / c for a label count; None if c does not fit in a float."""
+    try:
+        return 1.0 / int(c)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +320,38 @@ def _check_n(n: int) -> None:
         raise FeasibilityError(f"n={n} exceeds the largest supported n, {MAX_N}")
 
 
-# Hoeffding: a sum of n independent trials with mean mu exceeds mu + d, or
-# falls below mu - d, with probability at most exp(-2 d^2 / n) each.  At
-# d^2 = n * _HOEFFDING that is 2^-1075, which float64 rounds to 0.0.
-_HOEFFDING = 1075 * math.log(2) / 2
+# A tail mass below 2^-1075 rounds to 0.0 in float64: the level, in nats,
+# beyond which a binomial window leaves its tails.
+_NEGLIGIBLE = 1075 * math.log(2)
 
 
-def _window(n: int, mean: float) -> tuple[int, int]:
-    """The counts lo..hi outside which every pmf value, and S or 1 - S, is 0.0 in float64."""
-    d = math.sqrt(n * _HOEFFDING)
-    return max(0, math.floor(mean - d)), min(n, math.ceil(mean + d))
+def _upper_edge(n: int, mean: float, other: float, level: float) -> int:
+    """The least count above which Binomial(n, mean / n) has a mass below ``exp(-level)``.
+
+    ``other`` is ``n - mean``.  Chernoff's bound is ``P(X >= x) <=
+    exp(-g(x))`` for ``x >= mean``, with ``g(x) = x log(x / mean) + (n - x)
+    log((n - x) / other)``, which is ``n`` times the Kullback-Leibler
+    divergence of ``x / n`` from ``p``.  ``g`` is convex and rises from 0 at
+    the mean, so Newton's method started above the root of ``g = level``
+    (Pinsker's ``g(x) >= 2 (x - mean)^2 / n`` gives a start) descends to it
+    without crossing it; every count past the root has ``g > level``.
+    """
+    x = mean + math.sqrt(n * level / 2)
+    log_mean, log_other = math.log(mean), math.log(other)
+
+    def g(x: float) -> float:
+        return x * (math.log(x) - log_mean) + (n - x) * (math.log(n - x) - log_other)
+
+    if x >= n - 1:
+        if mean >= n - 1 or g(n - 1) < level:
+            return n
+        x = n - 1
+    while True:
+        slope = math.log(x) - log_mean - math.log(n - x) + log_other
+        step = (g(x) - level) / slope
+        x -= step
+        if not step > 2**-10:
+            return min(n, math.ceil(x))
 
 
 # stirlerr(k) = log(k!) - (k + 1/2) log(k) + k - log(2 pi) / 2 for k = 0..15,
@@ -341,26 +392,31 @@ def _stirlerr(first: int, last: int) -> np.ndarray:
     return out
 
 
-def _bd0(first: int, last: int, mean: float, mean_error: float) -> np.ndarray:
+def _bd0(
+    first: int, last: int, mean: float, mean_error: float, span: tuple[int, int]
+) -> np.ndarray:
     """Loader's deviance ``x log(x / mean) + mean - x`` for the integers x = first..last >= 1.
 
     ``mean + mean_error`` is the mean to twice the working precision, so
     ``x - mean`` carries no rounding.  Near the mean the terms cancel, and
     the series ``(x - mean) v + 2x (v^3/3 + v^5/5 + ...)`` in
     ``v = (x - mean) / (x + mean)`` is used instead, for ``|v| < 0.1``.
+    The series has as many terms as the counts ``span[0]..span[1]``, which
+    hold first..last, need; so a value does not depend on first and last.
     """
     x = np.arange(first, last + 1, dtype=float)
     delta = x - mean
     delta -= mean_error
     out = np.empty(len(x))
-    near_lo = min(max(first, math.floor(mean * 9 / 11) + 1), last + 1)
-    near_hi = max(min(last, math.ceil(mean * 11 / 9) - 1), near_lo - 1)
+    near_first, near_last = math.floor(mean * 9 / 11) + 1, math.ceil(mean * 11 / 9) - 1
+    near_lo = min(max(first, near_first), last + 1)
+    near_hi = max(min(last, near_last), near_lo - 1)
     a, b = near_lo - first, near_hi - first + 1
     for part in (slice(0, a), slice(b, len(x))):
         if part.start < part.stop:
-            # x / mean overflows only for a mean below n / 1.8e308; the pmf
-            # at x >= 1 is then below 1e-301, and the infinite deviance makes it 0.
-            with np.errstate(over="ignore"):
+            if math.isinf((first + part.stop - 1) / mean):  # a mean below n / 1.8e308
+                far = np.log(x[part]) - math.log(mean)
+            else:
                 far = np.log1p(delta[part] / mean)
             far *= x[part]
             far -= delta[part]
@@ -368,7 +424,8 @@ def _bd0(first: int, last: int, mean: float, mean_error: float) -> np.ndarray:
     if a < b:
         d, xs = delta[a:b], x[a:b]
         v = d / (xs + mean)
-        largest = max(abs(float(v[0])), abs(float(v[-1])))
+        ends = [float(count) for count in (max(span[0], near_first), min(span[1], near_last))]
+        largest = max(abs((end - mean - mean_error) / (end + mean)) for end in ends)
         terms = 1
         while largest ** (2 * terms + 1) > 2**-56:
             terms += 1
@@ -393,26 +450,41 @@ def _split(numerator: int, denominator: int) -> tuple[float, float]:
     return head, remainder / (denominator * head_denominator)
 
 
-def _binomial_window(n: int, p: float) -> tuple[int, np.ndarray]:
-    """``(lo, pmf)``: the Binomial(n, p) pmf on its window lo..hi.
+def _binomial_window(
+    n: int, p: float, level: float = _NEGLIGIBLE, scale_exponent: int = 0
+) -> tuple[int, np.ndarray]:
+    """``(lo, pmf)``: the Binomial(n, p) pmf times ``2^scale_exponent`` on its window lo..hi.
 
-    Loader's saddle-point form (C. Loader 2000, "Fast and Accurate
-    Computation of Binomial Probabilities", as in R's ``dbinom``):
+    The window is the Chernoff window of ``level``: the mass below ``lo``,
+    and the mass above ``hi``, are each below ``exp(-level)``.  At the
+    default, 2^-1075, every pmf value outside it is 0.0 in float64.
+
+    The pmf is Loader's saddle-point form (C. Loader 2000, "Fast and
+    Accurate Computation of Binomial Probabilities", as in R's ``dbinom``):
     ``P(X = k) = exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k)
     - bd0(k, np) - bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n)``, and
     ``q^n``, ``p^n`` at the end counts.  With ``np`` and ``nq`` carried to
     twice the working precision, the exponent's absolute error stays near
-    eps times its size, the log of the pmf.
+    eps times its size, the log of the pmf.  Each count is evaluated on its
+    own, so a value does not depend on the window around it.
+
+    The scaling is exact wherever the unscaled value is a normal float.
+    Below ``exp(_DEEP)`` it is added to the exponent instead, so that a
+    scaled value does not underflow where the unscaled one would.
     """
+    scale = 2.0**scale_exponent
     if p == 0.0 or p == 1.0:
-        return (0 if p == 0.0 else n), np.ones(1)
+        return (0 if p == 0.0 else n), np.full(1, scale)
     if n == 1:
-        return 0, np.array([1.0 - p, p])
+        return 0, np.array([(1.0 - p) * scale, p * scale])
     # n p and n q to twice the working precision, from p = num / den exactly.
     num, den = p.as_integer_ratio()
     mean, mean_error = _split(n * num, den)
     other, other_error = _split(n * (den - num), den)
-    lo, hi = _window(n, mean)
+    lo, hi = n - _upper_edge(n, other, mean, level), _upper_edge(n, mean, other, level)
+    # Pinsker's bound puts every window of this level within reach of the mean.
+    reach = math.sqrt(n * level / 2)
+    span = max(math.floor(mean - reach), 1), min(math.ceil(mean + reach), n - 1)
     pmf = np.empty(hi - lo + 1)
     first, last = max(lo, 1), min(hi, n - 1)
     if first <= last:
@@ -422,19 +494,40 @@ def _binomial_window(n: int, p: float) -> tuple[int, np.ndarray]:
         inner -= stirlerr_k
         # Over the whole support 1..n-1, the counts n - k are the counts k reversed.
         inner -= (stirlerr_k if first == n - last else _stirlerr(n - last, n - first))[::-1]
-        inner -= _bd0(first, last, mean, mean_error)
-        inner -= _bd0(n - last, n - first, other, other_error)[::-1]
+        inner -= _bd0(first, last, mean, mean_error, span)
+        inner -= _bd0(n - last, n - first, other, other_error, (n - span[1], n - span[0]))[::-1]
+        # The exponent is concave in k, so it is least at an end.
+        deep = None
+        if scale_exponent and min(inner[0], inner[-1]) < _DEEP:
+            deep = np.flatnonzero(inner < _DEEP)
+            deep_values = np.exp(inner[deep] + scale_exponent * math.log(2))
         np.exp(inner, out=inner)
+        if scale_exponent:
+            inner *= scale
+        if deep is not None:
+            inner[deep] = deep_values
         k = np.arange(first, last + 1, dtype=float)
-        scale = k * (n - k)
-        scale *= 2 * math.pi / n
-        np.sqrt(scale, out=scale)
-        inner /= scale
+        spread = k * (n - k)
+        spread *= 2 * math.pi / n
+        np.sqrt(spread, out=spread)
+        inner /= spread
     if lo == 0:
-        pmf[0] = math.exp(n * math.log1p(-p))
+        pmf[0] = _scaled_exp(n * math.log1p(-p), scale_exponent)
     if hi == n:
-        pmf[-1] = math.exp(n * math.log(p))
+        pmf[-1] = _scaled_exp(n * math.log(p), scale_exponent)
     return lo, pmf
+
+
+# exp(x) for x >= _DEEP stays a normal float after the division by
+# sqrt(2 pi k (n - k) / n) <= sqrt(pi MAX_N / 2).
+_DEEP = -600.0
+
+
+def _scaled_exp(x: float, scale_exponent: int) -> float:
+    """``exp(x) * 2^scale_exponent``, scaled as ``_binomial_window`` scales."""
+    if x < _DEEP and scale_exponent:
+        return math.exp(x + scale_exponent * math.log(2))
+    return math.ldexp(math.exp(x), scale_exponent)
 
 
 def binomial_distribution(n: int, p: float) -> CountDistribution:
@@ -559,29 +652,71 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> CountDistri
     return _grouped_convolution(PerExampleLabels(probs))
 
 
-# The running convolution is held times this power of two.  Then no value
+# The running convolution is held times 2^_SCALE_EXPONENT.  Then no value
 # in a window, and no product of two of them that matters, is a subnormal
 # float, which x86-64 multiplies far more slowly than a normal one (at
 # n = 20,000, 27 against 7 ms of convolutions); every scaling is exact
 # wherever the result is normal.
-_CONVOLUTION_SCALE = 2.0**500
+_SCALE_EXPONENT = 500
+
+# Each cut of the grouped convolution leaves out a mass below
+# 2^-_CUT_EXPONENT / (number of groups); see _grouped_convolution.
+_CUT_EXPONENT = 1078
 
 
 def _grouped_convolution(labels: PerExampleLabels) -> CountDistribution:
-    lo, pmf = 0, np.full(1, _CONVOLUTION_SCALE)
-    trials, mean = 0, 0.0
+    """The distribution of the count: one windowed binomial per distinct p_i, convolved.
+
+    After each step the running pmf is cut back at both ends: the entries
+    whose sum from that end stays below ``2^-1078 / G`` (``G`` groups) are
+    dropped, read off the scaled pmf by :func:`_negligible`.  Each binomial
+    window leaves out below ``2^-1078 / G`` at each end too (Chernoff).
+
+    Why every value outside the final window is 0.0: follow the groups'
+    counts one group at a time.  The running pmf holds exactly the mass of
+    the paths whose every group count lies in its binomial's window and
+    whose every running sum survived its cut, and it holds none outside its
+    window.  Any other path was cut at its first step out, so the true mass
+    outside the final window is at most what the ``4 G`` cuts left out,
+    ``2^-1076``, even if the masses read are off by a factor of 2 (their
+    rounding is far smaller).  The binomials are scaled so that none of
+    their values underflows, so no path is lost to rounding either.  Each
+    pmf value outside the window, and each ``S`` above it or ``1 - S``
+    below it, is therefore below 2^-1075: 0.0 in float64.
+    """
+    groups = len(labels.distinct)
+    level = _CUT_EXPONENT * math.log(2) + math.log(groups)
+    budget = 2.0 ** (_SCALE_EXPONENT - _CUT_EXPONENT) / groups
+    unscale = 2.0**-_SCALE_EXPONENT
+    lo, pmf = 0, np.full(1, 2.0**_SCALE_EXPONENT)
     for p, k in zip(labels.distinct, labels.multiplicities):
-        shift, binomial = _binomial_window(k, p)
-        pmf = np.convolve(pmf, binomial * _CONVOLUTION_SCALE)
-        pmf *= 1 / _CONVOLUTION_SCALE
-        lo += shift
-        trials += k
-        mean += k * p
-        keep_lo, keep_hi = _window(trials, mean)
-        start = max(keep_lo - lo, 0)
-        pmf = pmf[start : keep_hi - lo + 1]
-        lo += start
-    return _finalize(trials, lo, pmf * (1 / _CONVOLUTION_SCALE))
+        shift, binomial = _binomial_window(k, p, level, _SCALE_EXPONENT)
+        pmf = np.convolve(pmf, binomial)
+        pmf *= unscale
+        start = _negligible(pmf, budget)
+        pmf = pmf[start : len(pmf) - _negligible(pmf[::-1], budget)]
+        lo += shift + start
+    return _finalize(labels.n, lo, pmf * unscale)
+
+
+def _negligible(values: np.ndarray, budget: float) -> int:
+    """How many leading ``values`` (nonnegative) sum to below ``budget``.
+
+    Adds the first few one by one, then reads prefixes eight times longer
+    each round; so it reads about as many values as it counts.
+    """
+    total = 0.0
+    for count, value in enumerate(values[:8].tolist()):
+        total += value
+        if total >= budget:
+            return count
+    width = 64
+    while True:
+        sums = np.cumsum(values[:width])
+        count = int(np.searchsorted(sums, budget))
+        if count < width or width >= len(values):
+            return count
+        width *= 8
 
 
 def count_distribution(labels: LabelScheme, n: int) -> CountDistribution:

@@ -68,8 +68,9 @@ _TIE_GUARD = 1e-9
 
 # The base-distribution cache holds at most this many bytes of arrays.  A
 # task's entry is 16 bytes per count of its window, at most about
-# 16 * 38.6 * sqrt(n) bytes, so 32 MiB keeps 380 tasks of n = 20000, or 54
-# of n = 10^6.
+# 16 * 38.6 * sqrt(n) bytes (at p = 1/2), so 32 MiB keeps 386 tasks of
+# n = 20000 at m = 2, 649 at m = 10 and 494 per-example ones with counts 2
+# to 10, or 54 of n = 10^6 at m = 2 and 90 at m = 10.
 _BASE_CACHE_BYTES = 32 * 2**20
 
 # Elements (float64) of each block of the t-by-k array that

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -404,6 +405,72 @@ class TestSimulateCommand:
             f"error: trials * t = {trials * t} exceeds the largest supported number of draws, "
             f"{10**10}\n"
         )
+        assert result.stdout == ""
+
+
+RECORD_HEADER = "id,model,dataset,n,labels,t,observed_max_accuracy\n"
+
+
+@pytest.mark.parametrize("command", ["audit", "curve"])
+class TestMalformedInputFiles:
+    """Inputs that once ended in a traceback: each now exits 0 or 2 with an error line."""
+
+    def test_twenty_thousand_six_digit_label_counts_fit_in_a_csv_field(self, runner, tmp_path,
+                                                                        command):
+        counts = random.Random(6).choices(range(100_000, 1_000_000), k=20_000)
+        path = tmp_path / "records.csv"
+        path.write_text(RECORD_HEADER + f"r1,a,x,20000,{';'.join(map(str, counts))},5,0.0\n")
+        result = runner.invoke(main, [command, str(path)])
+        assert "Traceback" not in result.stderr
+        if command == "audit":  # curve needs per-prompt accuracies, which CSV cannot hold
+            assert result.exit_code == 0, result.stderr
+            assert rows(result.output.split("\n\n")[0])[0]["category"] == "below_both"
+        else:
+            assert result.exit_code == 2
+            assert result.stderr == "error: record 'r1' has no per_prompt_accuracies\n"
+
+    def test_a_csv_field_over_the_limit_exits_2(self, runner, tmp_path, command):
+        path = tmp_path / "records.csv"
+        path.write_text(RECORD_HEADER + "r1,a,x,10," + "2;" * 3_100_001 + ",5,0.5\n")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: CSV input line 2: field larger than field limit (6200000)\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("suffix, data", [
+        (".csv", RECORD_HEADER.encode() + b"r1,a,x,10,\xff2,5,0.5\n"),
+        (".jsonl", CURVE_JSONL.encode() + b'{"id": "r\xff"}\n'),
+    ])
+    def test_a_byte_that_is_not_utf8_exits_2_naming_its_offset(self, runner, tmp_path, command,
+                                                               suffix, data):
+        path = tmp_path / f"records{suffix}"
+        path.write_bytes(data)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {path} is not UTF-8: byte 0xff at offset "
+                                 f"{data.index(0xff)} (invalid start byte)\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("line, message", [
+        ("[" * 10**5, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"n": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["deep-nesting", "long-integer"])
+    def test_json_the_parser_refuses_is_a_row_error(self, runner, tmp_path, command, line,
+                                                    message):
+        path = tmp_path / "records.jsonl"
+        path.write_text(CURVE_JSONL + line + "\n")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: row 2: {message}")
+        assert result.stdout == ""
+
+    def test_a_lone_surrogate_in_a_name_is_a_row_error(self, runner, tmp_path, command):
+        path = tmp_path / "records.jsonl"
+        path.write_text(CURVE_JSONL.replace('"olmo"', '"\\ud800"'))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: row 1, field model: model '\\ud800' is not valid Unicode\n"
         assert result.stdout == ""
 
 

@@ -182,16 +182,19 @@ def records(draw) -> dict:
     return record
 
 
+def serialize(rows: list[dict], suffix: str) -> bytes:
+    if suffix == ".jsonl":
+        return "".join(json.dumps(row) + "\n" for row in rows).encode()
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
 def write_records(directory: str, rows: list[dict], suffix: str) -> str:
     path = Path(directory) / f"records{suffix}"
-    if suffix == ".jsonl":
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        path.write_text(buffer.getvalue(), encoding="utf-8")
+    path.write_bytes(serialize(rows, suffix))
     return str(path)
 
 
@@ -223,4 +226,64 @@ def test_curve(tmp_path, files, t_axis, out):
     with tempfile.TemporaryDirectory() as directory:
         path = write_records(directory, rows, suffix)
         check(["curve", path, *input_format, *(["--t", t_axis] if t_axis is not None else [])],
+              tmp_path, out)
+
+
+@st.composite
+def raw_files(draw) -> tuple[bytes, str]:
+    """The bytes of an input file and its suffix: junk, or records broken at the byte level.
+
+    Arbitrary bytes; records with one field hundreds of thousands of
+    characters long; a line nested up to 10^5 deep; records cut off
+    anywhere; records with a few bytes spliced in.
+    """
+    suffix = draw(st.sampled_from([".jsonl", ".csv"]))
+    kind = draw(st.sampled_from(["bytes", "long-field", "deep", "truncated", "spliced"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300)), suffix
+    rows = draw(st.lists(records(), min_size=1, max_size=3))
+    if kind == "deep":
+        opener = draw(st.sampled_from(["[", '{"a": ', '{"labels": [']))
+        line = opener * draw(st.integers(1, 10**5))
+        return serialize(rows, suffix) + line.encode() + b"\n", suffix
+    if kind == "long-field":
+        filler = draw(st.sampled_from(["2;", "9", "0.5,", "[", "x", "\u00e9"]))
+        rows[0][draw(st.sampled_from(FIELDS))] = filler * draw(st.integers(10**4, 3 * 10**5))
+    data = serialize(rows, suffix)
+    cut = draw(st.integers(0, len(data)))
+    if kind == "truncated":
+        return data[:cut], suffix
+    if kind == "spliced":
+        return data[:cut] + draw(st.binary(min_size=1, max_size=8)) + data[cut:], suffix
+    return data, suffix
+
+
+raw_inputs = st.tuples(
+    raw_files(),
+    st.sampled_from([[], ["--input-format", "csv"], ["--input-format", "jsonl"]]),
+)
+
+
+@FUZZ
+@given(raw=raw_inputs, fmt=st.sampled_from(["csv", "json"]), out=outs)
+@example(raw=((b"id,n\n\xff\n", ".csv"), []), fmt="csv", out=None)  # once a UnicodeDecodeError
+@example(raw=((b"[" * 10**5 + b"\n", ".jsonl"), []), fmt="csv", out=None)  # once a RecursionError
+def test_audit_bytes(tmp_path, raw, fmt, out):
+    (data, suffix), input_format = raw
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"records{suffix}"
+        path.write_bytes(data)
+        check(["audit", str(path), *input_format, "--format", fmt], tmp_path, out)
+
+
+@FUZZ
+@given(raw=raw_inputs, t_axis=st.none() | axes, out=outs)
+@example(raw=((b"id,labels\n1," + b"9" * 140_000 + b"\n", ".csv"), []),  # once a csv.Error
+         t_axis=None, out=None)
+def test_curve_bytes(tmp_path, raw, t_axis, out):
+    (data, suffix), input_format = raw
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"records{suffix}"
+        path.write_bytes(data)
+        check(["curve", str(path), *input_format, *(["--t", t_axis] if t_axis is not None else [])],
               tmp_path, out)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -28,6 +29,37 @@ def stirlerr_50_digits(k: int):
     mp = mpmath.mp.clone()
     mp.dps = 50
     return mp.loggamma(k + 1) - (k + mp.mpf(1) / 2) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
+
+
+TINY = mpmath.mpf(2) ** -1075
+
+
+def binomial_mass_beyond(n: int, p: float, k: int, direction: int):
+    """P(X <= k) (direction -1) or P(X >= k) (direction 1) for Binomial(n, p), at 40 digits."""
+    if not 0 <= k <= n:
+        return mpmath.mpf(0)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    p, q = mp.mpf(p), 1 - mp.mpf(p)
+    term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+                  + k * mp.log(p) + (n - k) * mp.log(q))
+    total = mp.mpf(0)
+    while 0 <= k <= n and term > total * mp.mpf(10) ** -45:
+        total += term
+        term *= (n - k) / (k + 1) * p / q if direction > 0 else k / (n - k + 1) * q / p
+        k += direction
+    return total
+
+
+def assert_window_is_tight_and_exact(dist) -> None:
+    """The window exceeds its nonzero counts by at most about 0.5%, and S is exact outside it."""
+    nonzero = int(np.count_nonzero(dist.window_pmf))
+    assert len(dist.window_pmf) <= 1.005 * nonzero + 2
+    sf = dist.sf
+    assert (sf[: dist.lo + 1] == 1.0).all() and not sf[dist.hi + 1 :].any()
+    assert not dist.pmf[: dist.lo].any() and not dist.pmf[dist.hi + 1 :].any()
+    for k in (dist.lo - 1, dist.lo, dist.lo + 1, (dist.lo + dist.hi) // 2, dist.hi, dist.hi + 1):
+        assert dist.tail(k) == (sf[k] if 0 <= k <= dist.n else float(k <= 0))
 
 
 class TestBinomialDistribution:
@@ -121,19 +153,34 @@ class TestBinomialDistribution:
     @pytest.mark.parametrize("p", [0.5, 1 / 3, 0.1, 0.01])
     def test_window_holds_every_nonzero_value(self, n, p):
         dist = binomial_distribution(n, p)
-        lo, hi = dist_mod._window(n, n * p)
-        assert (dist.lo, dist.hi) == (lo, hi)
-        pmf, sf = dist.pmf, dist.sf
-        assert_array_equal(pmf[lo : hi + 1], dist.window_pmf)
-        assert not pmf[:lo].any() and not pmf[hi + 1 :].any()
-        assert (sf[: lo + 1] == 1.0).all() and not sf[hi + 1 :].any()
-        for k in (lo - 1, lo, lo + 1, (lo + hi) // 2, hi, hi + 1):
-            assert dist.tail(k) == (sf[k] if 0 <= k <= n else float(k <= 0))
+        # The mass on either side of the window rounds to 0.0, by 40-digit mpmath.
+        assert binomial_mass_beyond(n, p, dist.lo - 1, -1) < TINY
+        assert binomial_mass_beyond(n, p, dist.hi + 1, 1) < TINY
+        assert_window_is_tight_and_exact(dist)
 
-    def test_window_at_a_million_holds_38605_counts(self):
+    def test_window_at_a_million_holds_the_chernoff_counts(self):
         dist = binomial_distribution(10**6, 0.5)
-        assert (dist.lo, dist.hi) == (480_698, 519_302)
-        assert dist.window_pmf.nbytes + dist.window_sf.nbytes == 16 * 38_605
+        assert (dist.lo, dist.hi) == (480_700, 519_300)
+        assert dist.window_pmf.nbytes + dist.window_sf.nbytes == 16 * 38_601
+
+    def test_window_at_a_million_and_p_one_tenth_holds_at_most_23200_counts(self):
+        # The Hoeffding window it replaced held 38,605; 23,053 counts are nonzero.
+        dist = binomial_distribution(10**6, 0.1)
+        assert dist.hi - dist.lo + 1 <= 23_200
+
+    def test_window_values_do_not_depend_on_the_window(self):
+        # Loader's form evaluates each count on its own: a wider level gives
+        # a wider window with the same bits on the counts both hold.
+        for n, p in [(2000, 0.5), (10**5, 1 / 3), (10**6, 0.1), (3 * 10**6, 1 / 7)]:
+            lo, pmf = dist_mod._binomial_window(n, p)
+            wide_lo, wide = dist_mod._binomial_window(n, p, level=dist_mod._NEGLIGIBLE + 20)
+            assert wide_lo < lo and len(wide) > len(pmf)
+            assert_array_equal(wide[lo - wide_lo : lo - wide_lo + len(pmf)], pmf)
+
+    def test_a_subnormal_p_keeps_its_single_successes(self):
+        # n p is below n / 1.8e308, so x / (n p) overflows; the deviance comes from logs.
+        assert binomial_distribution(10, 5e-324).pmf[1] == 10 * 5e-324
+        assert poisson_binomial_distribution([5e-324] * 3 + [0.5]).pmf[2] > 0.0
 
     def test_tail_is_upper_sum(self):
         dist = binomial_distribution(12, 0.4)
@@ -217,6 +264,22 @@ class TestPoissonBinomial:
         assert_allclose(pb.pmf, binom.pmf, atol=1e-12)
         assert_allclose(pb.cdf, binom.cdf, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            random.Random(20_000).choices(range(2, 11), k=20_000),
+            [2] * 1500 + [3] * 1500,
+            list(range(2, 2002)),
+            [2] * 10 + [10**6] * 5000,
+        ],
+        ids=["counts-2-to-10", "counts-2-and-3", "all-distinct", "two-far-groups"],
+    )
+    def test_window_is_tight_and_exact_outside(self, counts):
+        # That the window holds every nonzero value is checked against an
+        # independent reference at n = 2e4 in test_reference.py.
+        dist = count_distribution(PerExampleLabels.from_label_counts(counts), len(counts))
+        assert_window_is_tight_and_exact(dist)
+
     def test_rejects_zero_probability_and_empty(self):
         with pytest.raises(DomainError):
             poisson_binomial_distribution([0.5, 0.0])
@@ -271,6 +334,16 @@ class TestLabelSchemes:
         scheme = PerExampleLabels.from_label_counts([2, 3, 3, 5])
         assert (scheme.distinct, scheme.multiplicities) == ((0.5, 1 / 3, 0.2), (1, 2, 1))
         assert scheme.probabilities == (1 / 3, 0.5, 0.2, 1 / 3)
+
+    @given(st.lists(st.tuples(
+        st.integers(1, 10**4) | st.sampled_from([3**40, 10**307, 10**308]),
+        st.integers(1, 50)), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_is_the_correctly_rounded_sum_of_every_p(self, histogram):
+        counts = [c for c, k in histogram for _ in range(k)]
+        scheme = PerExampleLabels.from_label_counts(counts)
+        expanded = np.repeat(scheme.distinct, scheme.multiplicities)
+        assert scheme.expected_accuracy() == math.fsum(expanded) / len(counts)
 
     def test_per_example_rejects_bad_counts(self):
         with pytest.raises(DomainError):

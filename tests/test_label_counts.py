@@ -8,14 +8,19 @@ multiset of probabilities, or raise the same error with the same message.
 
 import math
 import pickle
+import random
+from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxrand.audit as audit_mod
 import maxrand.orderstat as orderstat_mod
 from maxrand import DomainError, PerExampleLabels, TaskSpec
 from maxrand.audit import _parse_labels, parse_label_counts
+from maxrand.cli import main
 
 
 def old_parse_int(value, field):
@@ -205,3 +210,27 @@ def test_values_that_are_not_counts_or_probabilities_are_domain_errors(build, va
     with pytest.raises(DomainError) as caught:
         build(values)
     assert str(caught.value) == message
+
+
+def test_a_20000_count_labels_flag_reads_each_distinct_count_once(monkeypatch):
+    calls = Counter()
+    read = audit_mod._parse_int
+
+    def counted(value, field):
+        calls[value] += 1
+        return read(value, field)
+
+    monkeypatch.setattr(audit_mod, "_parse_int", counted)
+    counts = random.Random(20_000).choices(range(2, 11), k=20_000)
+    result = CliRunner().invoke(main, ["baseline", "--n", "20000", "--t", "1",
+                                       "--labels", ";".join(map(str, counts))])
+    assert result.exit_code == 0, result.output
+    assert calls == Counter({str(c): 1 for c in set(counts)})
+
+
+def test_a_boolean_merged_with_the_count_one_is_still_rejected():
+    with pytest.raises(DomainError, match="labels must be an integer, got True"):
+        _parse_labels([1, 2, True])
+    with pytest.raises(DomainError, match="labels must be an integer, got False"):
+        _parse_labels([2, 0.0, False])
+    assert parse_label_counts("1;2;1") == PerExampleLabels((1.0, 0.5, 1.0))

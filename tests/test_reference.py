@@ -1,8 +1,9 @@
 """The closed forms against a 40-digit mpmath reference.
 
 Cells: n in {1, 2, 7, 50, 300, 2000, 10^5, 10^6}, m in {2, 3, 10} and
-t in {1, 10, 10^4, 10^6}, plus two per-example schemes: 40 examples, and
-2,000 examples with random counts in random order.
+t in {1, 10, 10^4, 10^6}, plus three per-example schemes: 40 examples,
+and 2,000 and 20,000 examples with random counts 2 to 10 in random order
+(the last is the documented per-example n and the benchmark's shape).
 
 - E[max] must agree with the reference to ``EXPECTED_MAX_RTOL`` relative.
 - A p-value whose reference tail is ``S(k)`` must agree to
@@ -16,12 +17,15 @@ is given, so it measures the pmf and the tail sums.  Rounding 1/m to a
 double moves ``S(k)`` by about ``|k - np| eps / (2q)`` relative on its own
 (up to 1.6e-12 at n = 10^6, m = 3).  The per-example reference uses the
 exact 1/count.  Beyond 2,000 examples the binomial reference covers
-``np +- 40 SD``, where the mass outside is below 1e-340.  The threshold
-solvers are also checked against the count scans they replaced.
+``np +- 40 SD``, where the mass outside is below 1e-340.  Beyond 2,000
+examples the per-example reference is a one-example-at-a-time dynamic
+program in double-double arithmetic (see ``double_double_pmf``).  The
+threshold solvers are also checked against the count scans they replaced.
 """
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -59,10 +63,15 @@ P_VALUE_STRIDE = 97
 PER_EXAMPLE_COUNTS = [
     [2 + (7 * i) % 9 for i in range(40)],
     random.Random(2000).choices(range(2, 11), k=2000),
+    random.Random(20_000).choices(range(2, 11), k=20_000),
 ]
 SCHEMES = [(n, UniformLabels(m)) for n in (1, 2, 7, 50, 300, 2000, *LARGE_N) for m in (2, 3, 10)]
 SCHEMES += [(len(counts), PerExampleLabels.from_label_counts(counts))
             for counts in PER_EXAMPLE_COUNTS]
+
+
+def per_example_scheme(n: int):
+    return next(scheme for scheme in SCHEMES[-len(PER_EXAMPLE_COUNTS):] if scheme[0] == n)
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +94,8 @@ def reference_tails(n: int, labels) -> tuple[int, list]:
         ratio = p / q
         for k in range(lo, hi):
             pmf.append(pmf[-1] * (n - k) / (k + 1) * ratio)
+    elif n > 2000:
+        lo, pmf = double_double_pmf(tuple(round(1 / p) for p in labels.probabilities))
     else:
         # The pmf times the product of the counts: the coefficients of the
         # product of (count - 1 + x) over the examples, in exact integers.
@@ -106,6 +117,81 @@ def reference_tails(n: int, labels) -> tuple[int, list]:
         running += pmf[j]
         tails[j] = running
     return lo, tails
+
+
+# Dekker's splitting constant, 2^27 + 1, and the double-double program's scale.
+SPLIT = 2.0**27 + 1
+DD_SCALE = 2**600
+
+
+def dekker_split(x):
+    """x = high + low, each half a double's significand: their products are exact."""
+    t = SPLIT * x
+    high = t - (t - x)
+    return high, x - high
+
+
+def dd_times(value, split, factor):
+    """A double-double array ``value`` times a double-double scalar ``factor``."""
+    (high, low), (split_high, split_low), (factor_high, factor_low) = value, split, factor
+    product = high * factor_high
+    fh, fl = dekker_split(factor_high)
+    error = ((split_high * fh - product) + split_high * fl + split_low * fh) + split_low * fl
+    error += high * factor_low + low * factor_high
+    total = product + error
+    return total, error - (total - product)
+
+
+def dd_plus(a, b):
+    """The sum of two double-double arrays of nonnegative values."""
+    total = a[0] + b[0]
+    back = total - a[0]
+    error = (a[0] - (total - back)) + (b[0] - back)
+    error += a[1] + b[1]
+    result = total + error
+    return result, error - (result - total)
+
+
+def as_double_double(x: Fraction) -> tuple[float, float]:
+    high = float(x)
+    return high, float(x - Fraction(high))
+
+
+@lru_cache(maxsize=None)
+def double_double_pmf(counts: tuple[int, ...]) -> tuple[int, list]:
+    """(lo, pmf) with pmf[j] = P(X = lo + j), from a dynamic program in double-double.
+
+    The examples are taken one at a time, in the order given, each with
+    its exact 1/count as a double-double (TwoSum and Dekker's TwoProduct,
+    about 106 bits), so the relative error after all 2 * 10^4 of them is
+    near 1e-27.  The pmf is held times 2^600, so nothing that matters is
+    subnormal, and only on mean +- 50 SD of the whole sum, slid along with
+    the running mean: for the counts 2 to 10 at n = 2 * 10^4 the mass
+    beyond +50 SD is below 1e-482 and below -50 SD below 1e-670 (Chernoff),
+    so over every step the mass left out stays below 1e-477.  Shares no
+    code with the grouped convolution.
+    """
+    factors = {c: (as_double_double(Fraction(1, c)), as_double_double(1 - Fraction(1, c)))
+               for c in set(counts)}
+    sd = math.sqrt(sum((1 / c) * (1 - 1 / c) for c in counts))
+    half = math.ceil(50 * sd)
+    size = 2 * half + 2
+    value = (np.zeros(size), np.zeros(size))
+    value[0][0] = float(DD_SCALE)
+    lo, running_mean = 0, 0.0
+    for c in counts:
+        p, q = factors[c]
+        split = dekker_split(value[0])
+        stay = dd_times(value, split, q)
+        up = [np.concatenate(([0.0], part[:-1])) for part in dd_times(value, split, p)]
+        value = dd_plus(stay, up)
+        running_mean += 1 / c
+        shift = max(0, math.floor(running_mean - half)) - lo
+        if shift > 0:
+            value = tuple(np.concatenate((part[shift:], np.zeros(shift))) for part in value)
+            lo += shift
+    return lo, [(mp.mpf(high) + mp.mpf(low)) / DD_SCALE
+                for high, low in zip(value[0].tolist(), value[1].tolist())]
 
 
 def best_of(tail, t: int):
@@ -153,7 +239,7 @@ def test_p_values_match_the_reference(scheme, t):
     n, labels = scheme
     spec = TaskSpec(n=n, labels=labels, t=t)
     lo, tails = reference_tails(n, labels)
-    stride = P_VALUE_STRIDE if n in LARGE_N else 1
+    stride = P_VALUE_STRIDE if n > 2000 else 1
     worst = 0.0
     for j in range(0, len(tails), stride):
         tail = tails[j]
@@ -170,12 +256,33 @@ def test_p_values_match_the_reference(scheme, t):
 def test_grouped_per_example_tails_are_as_close_as_the_dynamic_program_was():
     # Against the exact-integer reference, the one-trial-at-a-time dynamic
     # program this route replaced was at worst 4.1e-14 on this scheme.
-    n, labels = SCHEMES[-1]
+    n, labels = per_example_scheme(2000)
     lo, tails = reference_tails(n, labels)
     sf = count_distribution(labels, n).sf
     worst = max(relative_error(sf[k], tail) for k, tail in enumerate(tails)
                 if tail >= SMALLEST_TAIL)
     assert worst <= 2 * 4.1e-14
+
+
+def test_per_example_window_at_the_documented_n_holds_every_nonzero_value():
+    n, labels = per_example_scheme(20_000)
+    lo, pmf = double_double_pmf(tuple(round(1 / p) for p in labels.probabilities))
+    dist = count_distribution(labels, n)
+    assert lo < dist.lo and dist.hi < lo + len(pmf) - 1
+    tiny = mp.mpf(2) ** -1075
+    assert sum(pmf[: dist.lo - lo]) < tiny and sum(pmf[dist.hi + 1 - lo :]) < tiny
+
+
+def test_per_example_tails_at_the_documented_n_are_as_close_as_on_hoeffding_windows():
+    # With Hoeffding windows on every binomial and on the running sum, the
+    # worst S(k) was 2.58 (1 + |ln S(k)|) eps from the reference, 3.04e-14
+    # relative at its worst: the tightened windows must not lose accuracy.
+    n, labels = per_example_scheme(20_000)
+    lo, tails = reference_tails(n, labels)
+    dist = count_distribution(labels, n)
+    worst = max(relative_error(dist.tail(lo + j), tail) / ((1 + abs(float(mp.log(tail)))) * EPS)
+                for j, tail in enumerate(tails) if tail >= SMALLEST_TAIL)
+    assert worst <= 2.59
 
 
 def least_count_above_by_scan(spec: TaskSpec) -> float | None:
