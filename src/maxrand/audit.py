@@ -54,9 +54,6 @@ __all__ = [
 
 CATEGORIES = ("below_both", "flip", "above_both")
 
-# Observed max accuracy must agree with the max of any per-prompt values.
-_MAX_MATCH_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -64,8 +61,8 @@ class ExperimentRecord:
 
     ``per_prompt_accuracies`` (all t individual accuracies) and the
     held-out fields are optional; when a per-prompt list is present its
-    maximum must agree with ``observed_max_accuracy``.  If its length
-    disagrees with ``t``, the explicit ``t`` wins and a warning is
+    maximum must have the count of ``observed_max_accuracy``.  If its
+    length disagrees with ``t``, the explicit ``t`` wins and a warning is
     attached (published summaries often omit the raw per-prompt data).
     """
 
@@ -85,17 +82,15 @@ class ExperimentRecord:
         # TaskSpec construction validates n, t and the labels length.
         spec = TaskSpec(n=self.n, labels=self.labels, t=self.t)
         object.__setattr__(self, "_spec", spec)
-        accuracy_to_count(spec.n, self.observed_max_accuracy)
+        count = accuracy_to_count(spec.n, self.observed_max_accuracy)
         if self.per_prompt_accuracies is not None:
             if len(self.per_prompt_accuracies) == 0:
                 raise DomainError(f"record {self.id!r}: per_prompt_accuracies is empty")
-            for a in self.per_prompt_accuracies:
-                accuracy_to_count(spec.n, a)
-            best = max(self.per_prompt_accuracies)
-            if abs(best - self.observed_max_accuracy) > _MAX_MATCH_TOLERANCE:
+            best = max(accuracy_to_count(spec.n, a) for a in self.per_prompt_accuracies)
+            if best != count:
                 raise DomainError(
                     f"record {self.id!r}: observed_max_accuracy {self.observed_max_accuracy} "
-                    f"does not match the per-prompt maximum {best}"
+                    f"does not match the per-prompt maximum {best}/{spec.n}"
                 )
             if len(self.per_prompt_accuracies) != self.t:
                 message = (
@@ -257,8 +252,9 @@ def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) ->
 def categorize_observation(observed: float, expected_standard: float, expected_max: float) -> str:
     """Sort one observation against both baselines; beating is strict.
 
-    Ties sit with the weaker category: equal to the standard baseline is
-    ``below_both``, equal to the maximum baseline is ``flip``.
+    Beating is being the greater float, the rule ``min_accuracy_beating_max``
+    solves.  Ties sit with the weaker category: equal to the standard baseline
+    is ``below_both``, equal to the maximum baseline is ``flip``.
     """
     if observed <= expected_standard:
         return "below_both"
@@ -268,16 +264,15 @@ def categorize_observation(observed: float, expected_standard: float, expected_m
 
 
 def classify(record: ExperimentRecord) -> AuditVerdict:
-    """Compare one record's best-of-t accuracy against both baselines."""
+    """Compare one record's best-of-t accuracy, as ``k/n`` of its count, against both baselines."""
     report = baseline_report(record.spec(), record.observed_max_accuracy)
+    observed = accuracy_to_count(record.n, record.observed_max_accuracy) / record.n
     return AuditVerdict(
         id=record.id,
         model=record.model,
         dataset=record.dataset,
         observed_max_accuracy=record.observed_max_accuracy,
-        category=categorize_observation(
-            record.observed_max_accuracy, report.expected_standard, report.expected_max
-        ),
+        category=categorize_observation(observed, report.expected_standard, report.expected_max),
         expected_standard=report.expected_standard,
         expected_max=report.expected_max,
         p_standard=report.p_standard,
@@ -363,13 +358,13 @@ def evaluate_prediction(
     """Score both baselines as predictors of above-random held-out accuracy.
 
     ``verdicts`` are ``classify(record)`` for each record, in order; their
-    baselines and p-values are used as they are, not recomputed.
-    Ground truth is ``heldout_accuracy`` strictly above the standard
+    baselines, categories and p-values are used as they are, not recomputed.
+    Ground truth is the held-out count's ``k/n`` beating the standard
     baseline (the held-out set is used once, so no stronger bar applies).
-    Each threshold predictor fires when the observed maximum validation
-    accuracy is strictly above its baseline.  The shared ranking score is
-    the validation distribution function F(count - 1): the fraction of
-    random classifiers the observed accuracy strictly beats.
+    The ``standard`` predictor fires on a verdict above ``below_both``, the
+    ``max`` one on ``above_both``.  The shared ranking score is the validation
+    distribution function F(count - 1): the fraction of random classifiers
+    the observed accuracy strictly beats.
     """
     if len(records) == 0:
         raise DomainError("records must be nonempty")
@@ -382,9 +377,10 @@ def evaluate_prediction(
     for record, verdict in zip(records, verdicts):
         if record.heldout_accuracy is None or record.heldout_n is None:
             raise DomainError(f"record {record.id!r} is missing held-out fields")
-        truths.append(record.heldout_accuracy > verdict.expected_standard)
-        standard_preds.append(verdict.observed_max_accuracy > verdict.expected_standard)
-        max_preds.append(verdict.observed_max_accuracy > verdict.expected_max)
+        heldout = accuracy_to_count(record.heldout_n, record.heldout_accuracy) / record.heldout_n
+        truths.append(heldout > verdict.expected_standard)
+        standard_preds.append(verdict.category != "below_both")
+        max_preds.append(verdict.category == "above_both")
         scores.append(1.0 - verdict.p_standard)
     positives = sum(truths)
     negatives = len(truths) - positives
@@ -410,18 +406,9 @@ def evaluate_prediction(
 
 
 def _confusion(truths: Sequence[bool], predictions: Sequence[bool]) -> PredictorStats:
-    tp = fp = tn = fn = 0
-    for truth, predicted in zip(truths, predictions):
-        if predicted:
-            if truth:
-                tp += 1
-            else:
-                fp += 1
-        elif truth:
-            fn += 1
-        else:
-            tn += 1
-    return PredictorStats(tp=tp, fp=fp, tn=tn, fn=fn)
+    pairs = Counter(zip(truths, predictions))  # (truth, predicted) -> records
+    return PredictorStats(tp=pairs[True, True], fp=pairs[False, True],
+                          tn=pairs[False, False], fn=pairs[True, False])
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +571,20 @@ def read_records(source: str | Path | TextIO, format: str = "csv") -> LoadResult
     ``format`` is ``"csv"`` (header row required) or ``"jsonl"`` (one
     JSON object per line).  Malformed rows become :class:`RowError`
     entries carrying their row number instead of silently disappearing.
-    A file that is not UTF-8, and CSV that the reader cannot split into
+    Input that is not UTF-8, and CSV that the reader cannot split into
     rows, raise :class:`DomainError`.
     """
     if format not in ("csv", "jsonl"):
         raise DomainError(f"format must be 'csv' or 'jsonl', got {format!r}")
-    if hasattr(source, "read"):
-        return _read_stream(source, format)  # type: ignore[arg-type]
     try:
+        if hasattr(source, "read"):
+            return _read_stream(source, format)  # type: ignore[arg-type]
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return _read_stream(handle, format)
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
+        if hasattr(source, "read"):  # a stream cannot be read again for the offset
+            raise DomainError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                              f"({exc.reason})") from None
         raise DomainError(f"{source} is not UTF-8: {_first_bad_byte(source)}") from None
 
 

@@ -139,15 +139,16 @@ _MAX_AXIS_POINTS = 10**6
 
 def _parse_axis(text: str, name: str) -> list[int]:
     """Axis syntax: 'a,b,c' explicit, 'lo:hi' every integer, 'lo:hi:count' log-spaced."""
+    syntax = f"{name} must be 'a,b,c', 'lo:hi', or 'lo:hi:count' (log-spaced), got {text!r}"
     try:
-        parts = [int(part) for part in text.replace(":", ",").split(",")]
-    except ValueError:
-        raise DomainError(
-            f"{name} must be 'a,b,c', 'lo:hi', or 'lo:hi:count' (log-spaced), got {text!r}"
-        ) from None
+        parts = [int(part) for part in text.split(":" if ":" in text else ",")]
+    except ValueError:  # also a mix of ',' and ':'
+        raise DomainError(syntax) from None
     if ":" in text:
         if len(parts) == 2:
             lo, hi = parts
+            if lo > hi:
+                raise DomainError(f"{name} range {text!r}: lo must not exceed hi")
             if hi - lo >= _MAX_AXIS_POINTS:
                 raise DomainError(f"{name} range {text!r} has over 10^6 points; use lo:hi:count")
             values = list(range(lo, hi + 1))
@@ -236,10 +237,11 @@ def _task_flags(fn):
 @_task_flags
 def baseline(spec: TaskSpec):
     """Standard and maximum random baselines, and the accuracy that beats them."""
+    expected_max = expected_max_accuracy(spec)
     return _record({
         "expected_standard": expected_standard_accuracy(spec),
-        "expected_max": expected_max_accuracy(spec),
-        "min_accuracy_beating_max": min_accuracy_beating_max(spec),
+        "expected_max": expected_max,
+        "min_accuracy_beating_max": min_accuracy_beating_max(spec, expected_max),
     })
 
 

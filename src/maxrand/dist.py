@@ -207,12 +207,13 @@ class CountDistribution:
     """Exact distribution of a correct-guess count on 0..n, stored on its window.
 
     Only the counts ``lo..hi`` can have a pmf above zero in float64 (see
-    ``_window``).  ``window_pmf`` and ``window_sf`` are read-only arrays
-    of ``P(X = k)`` and ``S(k) = P(X >= k)`` for those counts, indexed by
-    ``k - lo``; ``window_sf[0] == 1.0`` exactly and ``S`` is
-    nonincreasing.  Below the window ``S(k)`` is exactly 1.0, above it
-    0.0.  ``pmf``, ``sf``, ``cdf`` and ``log_pmf`` are the read-only
-    arrays over every count ``0..n``, derived on each access.
+    the Chernoff window of ``_binomial_window`` / ``_upper_edge``).
+    ``window_pmf`` and ``window_sf`` are read-only arrays of ``P(X = k)``
+    and ``S(k) = P(X >= k)`` for those counts, indexed by ``k - lo``;
+    ``window_sf[0] == 1.0`` exactly and ``S`` is nonincreasing.  Below
+    the window ``S(k)`` is exactly 1.0, above it 0.0.  ``pmf``, ``sf``,
+    ``cdf`` and ``log_pmf`` are the read-only arrays over every count
+    ``0..n``, derived on each access.
     """
 
     n: int

@@ -17,7 +17,6 @@ call concurrently.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import threading
 from collections import OrderedDict, namedtuple
@@ -61,10 +60,15 @@ __all__ = [
 # this, or than a quarter count, from every k/n are rejected, never rounded.
 COUNT_TOLERANCE = 1e-6
 
-# Expectations are computed to ~1e-15; ties at a baseline must not count
-# as beating it.  Attainable accuracies are spaced 1/n apart, so this
-# guard cannot skip a genuinely higher value.
-_TIE_GUARD = 1e-9
+# An accuracy at most 2^-_DUST_BITS relative above k/n is float dust on k/n.
+# Its source is audit.empirical_expected_maxima, exactly k/n for one value or
+# a t = 1 mean that is a count.  At t = 1 over N prompts it rounds D <= N
+# shares C/N (u = 2^-53 each) and sums D products: to first order
+# D u (3 v_max / E + 1) relative.  Against mpmath it was off by at most
+# 5.1 eps for N <= 1000 and 473 eps at N = 10^4, growing linearly in N;
+# 2^-30 is about 90 times that at N = 10^6.  At n <= 10^7 it is below
+# 0.01 count, so it never reaches a second count.
+_DUST_BITS = 30
 
 # The base-distribution cache holds at most this many bytes of arrays.  A
 # task's entry is 16 bytes per count of its window, at most about
@@ -331,16 +335,17 @@ def p_value_max(spec: TaskSpec, observed: float) -> float:
 def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
     """P(a single random classifier scores at least ``accuracy``), any real value.
 
-    Exact for integer-valued counts: ``P(X/n >= a) = P(X >= ceil(n a))``.
-    Unlike :func:`p_value_standard` this accepts accuracies between
-    attainable values, e.g. an empirical expected maximum.
+    Exact for integer-valued counts: ``P(X/n >= a) = P(X >= ceil(n a))``
+    from the exact ``a``, except that float dust on a ``k/n`` reads as
+    ``k/n`` (``_DUST_BITS``).  Unlike :func:`p_value_standard` this accepts
+    accuracies between attainable values, e.g. an empirical expected maximum.
     """
     if not 0.0 <= accuracy <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {accuracy}")
-    try:
-        count = accuracy_to_count(spec.n, accuracy)
-    except DomainError:
-        count = math.ceil(spec.n * accuracy)
+    p, q = accuracy.as_integer_ratio()
+    count = -(-spec.n * p // q)  # ceil(n a), exactly
+    if (spec.n * p - (count - 1) * q) << _DUST_BITS <= (count - 1) * q:
+        count -= 1  # float dust above (count - 1) / n
     return _base(spec).tail(count)
 
 
@@ -349,17 +354,18 @@ def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:
     return float(max_tail(tail_probability_standard(spec, accuracy), spec.t))
 
 
-def min_accuracy_beating_max(spec: TaskSpec) -> float | None:
-    """Least attainable accuracy k/n strictly above the maximum baseline.
+def min_accuracy_beating_max(spec: TaskSpec, expected_max: float | None = None) -> float | None:
+    """Least attainable accuracy k/n that beats the maximum baseline ``E``.
 
-    Exact ties do not beat the baseline; the comparison carries a small
-    guard so rounding in the expectation cannot flip a tie either way.
-    Returns None when no attainable accuracy clears the baseline, which
-    requires every example to be guessed correctly with certainty.
+    ``k/n`` beats ``E`` when the float ``k / n`` is greater, as in
+    ``audit.categorize_observation``, so ``1/m`` at t = 1 does not.  The exact
+    ``k/n`` first exceeds ``E`` at ``k = floor(n E) + 1``; when that ``k / n``
+    rounds to ``E``, ``k + 1`` is the least.  ``expected_max`` passes ``E`` on.
+    None when ``E`` is 1.0: every example is certain, or ``E`` rounds to 1.
     """
-    bar = expected_max_accuracy(spec) + _TIE_GUARD
-    # n * bar is rounded, so its floor is the answer or one below it.
-    k = math.floor(spec.n * bar)
+    bar = expected_max_accuracy(spec) if expected_max is None else expected_max
+    p, q = bar.as_integer_ratio()
+    k = spec.n * p // q + 1
     if k / spec.n <= bar:
         k += 1
     return k / spec.n if k <= spec.n else None

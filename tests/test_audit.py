@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxrand import (
@@ -18,6 +18,7 @@ from maxrand import (
     empirical_expected_max,
     evaluate_prediction,
     expected_max_accuracy,
+    min_accuracy_beating_max,
     pr_points,
     read_records,
     roc_points,
@@ -25,6 +26,22 @@ from maxrand import (
 
 # Frozen for readability: expected_max_accuracy(n=100, m=2, t=10) ~ 0.5768.
 EXPECTED_MAX_100_2_10 = expected_max_accuracy(TaskSpec.uniform(100, 2, 10))
+
+# (n, m, t) whose maximum baseline lies less than 1e-9 below the least count
+# that beats it.
+NEAR_TIE_CELLS = [(384, 2, 286), (10**5, 5, 1563), (10**6, 2, 146), (10**6, 3, 566)]
+
+evaluations = st.one_of(st.integers(min_value=1, max_value=50),
+                        st.integers(min_value=1, max_value=10**6))
+task_specs = st.one_of(
+    st.builds(TaskSpec.uniform, n=st.integers(min_value=1, max_value=3000),
+              m=st.sampled_from([2, 3, 4, 5, 10]), t=evaluations),
+    st.builds(
+        lambda counts, t: TaskSpec(len(counts), PerExampleLabels.from_label_counts(counts), t),
+        st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=40),
+        evaluations,
+    ),
+)
 
 
 def record(
@@ -110,6 +127,27 @@ class TestClassify:
         labels = PerExampleLabels.from_label_counts([2, 2, 4, 4])
         verdict = classify(record(n=4, labels=labels, t=1, observed=0.5))
         assert verdict.expected_standard == 0.375
+        assert verdict.category == "above_both"
+
+    @given(spec=task_specs, other=st.integers(min_value=0))
+    @example(spec=TaskSpec.uniform(*NEAR_TIE_CELLS[0]), other=0)
+    @example(spec=TaskSpec.uniform(*NEAR_TIE_CELLS[1]), other=0)
+    @example(spec=TaskSpec.uniform(*NEAR_TIE_CELLS[2]), other=0)
+    @example(spec=TaskSpec.uniform(*NEAR_TIE_CELLS[3]), other=0)
+    @settings(max_examples=150, deadline=None)
+    def test_above_both_from_the_least_count_that_beats_the_max(self, spec, other):
+        least = min_accuracy_beating_max(spec)
+        least_count = spec.n + 1 if least is None else round(least * spec.n)
+        counts = {least_count - 2, least_count - 1, least_count, least_count + 1,
+                  other % (spec.n + 1)}
+        for k in sorted(c for c in counts if 0 <= c <= spec.n):
+            verdict = classify(record(n=spec.n, labels=spec.labels, t=spec.t, observed=k / spec.n))
+            assert (verdict.category == "above_both") == (k >= least_count), k
+
+    def test_the_count_decides_not_the_float_given(self):
+        # 220/384 beats E[max] = 0.5729166659... by 7e-10; the accuracy as
+        # given lies 1e-9 lower but still reads as the count 220.
+        verdict = classify(record(n=384, t=286, observed=220 / 384 - 1e-9))
         assert verdict.category == "above_both"
 
 
@@ -236,6 +274,15 @@ class TestEvaluatePrediction:
         with pytest.raises(DomainError):
             _evaluate([])
 
+    def test_predictors_follow_the_verdicts_and_truth_the_heldout_count(self):
+        # Both accuracies are 1e-9 off their counts: 220/384 beats the
+        # maximum baseline, and 1/2 does not beat the standard one.
+        near = record(n=384, t=286, observed=220 / 384 - 1e-9,
+                      heldout_accuracy=0.5 + 1e-9, heldout_n=2)
+        evaluation = _evaluate([near])
+        assert (evaluation.standard.fp, evaluation.max.fp) == (1, 1)
+        assert evaluation.standard.tp == evaluation.max.tp == 0
+
     def test_verdicts_must_match_the_records_in_order(self):
         records = _cohort_records()[:3]
         verdicts = [classify(r) for r in records]
@@ -293,8 +340,12 @@ class TestCurvePoints:
 
 class TestExperimentRecordValidation:
     def test_observed_must_match_per_prompt_maximum(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="per-prompt maximum 57/100"):
             record(observed=0.56, per_prompt_accuracies=(0.5, 0.57))
+
+    def test_per_prompt_maximum_matches_by_count(self):
+        r = record(t=2, observed=0.56, per_prompt_accuracies=(0.5, 0.56 + 1e-8))
+        assert r.warnings == ()
 
     def test_per_prompt_length_mismatch_attaches_warning(self):
         r = record(observed=0.56, per_prompt_accuracies=(0.5, 0.56), t=10)
@@ -380,6 +431,12 @@ class TestReadRecords:
         text = "id,model,dataset,n,labels,t,observed_max_accuracy\nr1,m,d,10,two,1,0.5\n"
         result = read_records(io.StringIO(text), format="csv")
         assert result.errors[0].field == "labels"
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_a_stream_that_is_not_utf8_is_a_domain_error(self, format):
+        stream = io.TextIOWrapper(io.BytesIO(b"id,n\n\xff\n"), encoding="utf-8")
+        with pytest.raises(DomainError, match="input is not UTF-8: byte 0xff"):
+            read_records(stream, format=format)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):

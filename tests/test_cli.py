@@ -4,8 +4,11 @@ import json
 import os
 import random
 import re
+import tempfile
 import weakref
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import maxrand.dist as dist_mod
 import maxrand.oracle as oracle_mod
+import maxrand.orderstat as orderstat_mod
 from maxrand import PerExampleLabels, TaskSpec, enumerate_max_pmf
 from maxrand.cli import main
 
@@ -106,6 +112,20 @@ class TestBaselineCommand:
         )
         assert result.stdout == ""
 
+    def test_one_expected_max_pass(self, runner, monkeypatch):
+        passes = []
+        one_pass = orderstat_mod.expected_max_accuracies
+
+        def counted(spec, ts):
+            passes.append(list(ts))
+            return one_pass(spec, ts)
+
+        monkeypatch.setattr(orderstat_mod, "expected_max_accuracies", counted)
+        result = runner.invoke(main, ["baseline", "--n", "384", "--m", "2", "--t", "286"])
+        assert result.exit_code == 0
+        assert rows(result.output)[0]["min_accuracy_beating_max"] == "0.572916666667"
+        assert passes == [[286]]
+
     def test_requires_exactly_one_label_flag(self, runner):
         result = runner.invoke(main, ["baseline", "--n", "10", "--t", "1"])
         assert result.exit_code == 2
@@ -160,6 +180,17 @@ class TestThresholdCommand:
         (row,) = rows(result.output)
         assert row["min_accuracy_beating_max"] == "0.58"
         assert row["min_accuracy_at_significance"] == "0.64"
+
+    # E[max] lies within 1e-9 below each of these least counts.
+    @pytest.mark.parametrize("n, m, t, printed", [
+        (384, 2, 286, "0.572916666667"),
+        (10**5, 5, 1563, "0.20427"),
+        (10**6, 2, 146, "0.50132"),
+        (10**6, 3, 566, "0.334783"),
+    ])
+    def test_least_count_just_above_the_max_baseline(self, runner, n, m, t, printed):
+        result = runner.invoke(main, ["threshold", "--n", str(n), "--m", str(m), "--t", str(t)])
+        assert rows(result.output)[0]["min_accuracy_beating_max"] == printed
 
     def test_unattainable_alpha_is_empty(self, runner):
         result = runner.invoke(
@@ -218,6 +249,20 @@ class TestGridCommand:
     def test_per_example_scheme_needs_matching_n(self, runner):
         result = runner.invoke(main, ["grid", "--n", "3,4", "--t", "1", "--labels", "2;3;4"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("axis", ["2:3,5", "1,2:3", "1:2,3:4"])
+    def test_mixed_axis_syntax_exits_2(self, runner, axis):
+        result = runner.invoke(main, ["grid", "--n", "10", "--t", axis, "--m", "2"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: --t must be 'a,b,c', 'lo:hi', or 'lo:hi:count' (log-spaced), got {axis!r}\n"
+        )
+        assert result.stdout == ""
+
+    def test_a_range_from_high_to_low_exits_2(self, runner):
+        result = runner.invoke(main, ["grid", "--n", "10", "--t", "3:1", "--m", "2"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: --t range '3:1': lo must not exceed hi\n"
 
     # Rejected before any axis is built: 10^10 log-spaced points would take 80 GB.
     @pytest.mark.parametrize("axis", ["1:1000001", "10:1000:1000001", "10:1000:10000000000"])
@@ -282,6 +327,17 @@ class TestAuditCommand:
         assert result.exit_code == 2
         assert "row 4" in result.stderr
         assert result.stdout == ""
+
+    def test_least_counts_just_above_the_max_baseline_are_above_both(self, runner, tmp_path):
+        lines = ["id,model,dataset,n,labels,t,observed_max_accuracy"]
+        for n, m, t, least in ((384, 2, 286, 220), (10**5, 5, 1563, 20427),
+                               (10**6, 2, 146, 501320), (10**6, 3, 566, 334783)):
+            lines += [f"{n}-{k},m,d,{n},{m},{t},{k / n!r}" for k in (least, least - 1)]
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["audit", str(path)])
+        verdicts = rows(result.output.split("\n\n")[0])
+        assert [v["category"] for v in verdicts] == ["above_both", "flip"] * 4
 
     def test_jsonl_input_by_extension(self, runner, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -515,6 +571,43 @@ class TestCurveCommand:
         )
         assert result.stdout == ""
         assert runner.invoke(main, ["curve", str(path), "--t", "1:10000000:3"]).exit_code == 0
+
+    @given(n=st.integers(min_value=1, max_value=1000), t=st.integers(min_value=1, max_value=20),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_p_values_look_up_the_count_of_the_exact_curve_value(self, n, t, data):
+        counts = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1,
+                                    max_size=200))
+        exact, below = Fraction(0), 0
+        for k, times in sorted(Counter(counts).items()):
+            exact += Fraction(k, n) * (Fraction(below + times, len(counts)) ** t
+                                       - Fraction(below, len(counts)) ** t)
+            below += times
+        scaled = exact * n
+        lower = scaled.numerator // scaled.denominator
+        dust = Fraction(1, 2**orderstat_mod._DUST_BITS)
+        if scaled.denominator == 1:
+            expected = lower
+        else:
+            assume(scaled - lower > dust * lower and lower + 1 - scaled > dust * (lower + 1))
+            expected = lower + 1
+        payload = {"id": "c", "model": "m", "dataset": "d", "n": n, "labels": 2,
+                   "t": len(counts), "observed_max_accuracy": max(counts) / n,
+                   "per_prompt_accuracies": [k / n for k in counts]}
+        looked_up = []
+        tail = dist_mod.CountDistribution.tail
+
+        def recorded(distribution, k):
+            looked_up.append(k)
+            return tail(distribution, k)
+
+        with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+            path = Path(folder) / "records.jsonl"
+            path.write_text(json.dumps(payload) + "\n")
+            patch.setattr(dist_mod.CountDistribution, "tail", recorded)
+            result = CliRunner().invoke(main, ["curve", str(path), "--t", str(t)])
+        assert result.exit_code == 0, result.output
+        assert looked_up == [expected]
 
     def test_missing_per_prompt_exits_2(self, runner, tmp_path):
         payload = {

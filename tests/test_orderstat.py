@@ -350,7 +350,9 @@ class TestTailProbabilities:
 
     @pytest.mark.parametrize(
         "n, accuracy, count",
-        [(4, 0.3, 2), (10**6, 0.3000001, 300000), (10**6, 0.3000004, 300001)],
+        [(4, 0.3, 2), (10**6, 0.3000001, 300001), (10**6, 0.3000004, 300001),
+         # within 2^-30 relative above 300000 / 10^6: float dust, read as that count
+         (10**6, 0.3000000000001, 300000)],
     )
     def test_looks_up_the_ceiling_count(self, monkeypatch, n, accuracy, count):
         looked_up = []
@@ -363,6 +365,12 @@ class TestTailProbabilities:
         monkeypatch.setattr(orderstat_mod, "_base_distribution", lambda spec: Recorder())
         tail_probability_standard(TaskSpec.uniform(n, 2, 1), accuracy)
         assert looked_up == [count]
+
+    @pytest.mark.parametrize("n, accuracy, printed", [(100, 0.560001, "0.0967"),
+                                                      (10**6, 0.5000002, "0.49960")])
+    def test_an_accuracy_just_above_a_count_reads_the_next_count(self, n, accuracy, printed):
+        tail = tail_probability_standard(TaskSpec.uniform(n, 2, 1), accuracy)
+        assert f"{tail:.{len(printed) - 2}f}" == printed
 
     def test_rejects_outside_unit_interval(self):
         spec = TaskSpec.uniform(4, 2, 1)

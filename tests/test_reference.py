@@ -45,7 +45,6 @@ from maxrand import (
     p_value_max,
     p_value_standard,
 )
-from maxrand.orderstat import _TIE_GUARD
 
 mp = mpmath.mp.clone()
 mp.dps = 40
@@ -286,10 +285,10 @@ def test_per_example_tails_at_the_documented_n_are_as_close_as_on_hoeffding_wind
 
 
 def least_count_above_by_scan(spec: TaskSpec) -> float | None:
-    """The count scan min_accuracy_beating_max ran before it used floor(n * bar)."""
+    """The least k/n above the maximum baseline by a scan of the floats k / n."""
     target = expected_max_accuracy(spec)
     for k in range(spec.n + 1):
-        if k / spec.n > target + _TIE_GUARD:
+        if k / spec.n > target:
             return k / spec.n
     return None
 
