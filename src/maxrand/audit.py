@@ -77,17 +77,20 @@ class ExperimentRecord:
     heldout_accuracy: float | None = None
     heldout_n: int | None = None
     warnings: tuple[str, ...] = ()
+    # __post_init__ sets _count and _heldout_count, the counts k of
+    # observed_max_accuracy and heldout_accuracy that every decision reads.
+    _heldout_count = None
 
     def __post_init__(self) -> None:
         # TaskSpec construction validates n, t and the labels length.
         spec = TaskSpec(n=self.n, labels=self.labels, t=self.t)
         object.__setattr__(self, "_spec", spec)
-        count = accuracy_to_count(spec.n, self.observed_max_accuracy)
+        object.__setattr__(self, "_count", accuracy_to_count(spec.n, self.observed_max_accuracy))
         if self.per_prompt_accuracies is not None:
             if len(self.per_prompt_accuracies) == 0:
                 raise DomainError(f"record {self.id!r}: per_prompt_accuracies is empty")
             best = max(accuracy_to_count(spec.n, a) for a in self.per_prompt_accuracies)
-            if best != count:
+            if best != self._count:
                 raise DomainError(
                     f"record {self.id!r}: observed_max_accuracy {self.observed_max_accuracy} "
                     f"does not match the per-prompt maximum {best}/{spec.n}"
@@ -103,7 +106,8 @@ class ExperimentRecord:
                 raise DomainError(f"record {self.id!r}: heldout_accuracy without heldout_n")
             if self.heldout_n < 1:
                 raise DomainError(f"record {self.id!r}: heldout_n must be >= 1")
-            accuracy_to_count(self.heldout_n, self.heldout_accuracy)
+            heldout_count = accuracy_to_count(self.heldout_n, self.heldout_accuracy)
+            object.__setattr__(self, "_heldout_count", heldout_count)
         elif self.heldout_n is not None:
             raise DomainError(f"record {self.id!r}: heldout_n without heldout_accuracy")
 
@@ -266,7 +270,7 @@ def categorize_observation(observed: float, expected_standard: float, expected_m
 def classify(record: ExperimentRecord) -> AuditVerdict:
     """Compare one record's best-of-t accuracy, as ``k/n`` of its count, against both baselines."""
     report = baseline_report(record.spec(), record.observed_max_accuracy)
-    observed = accuracy_to_count(record.n, record.observed_max_accuracy) / record.n
+    observed = record._count / record.n
     return AuditVerdict(
         id=record.id,
         model=record.model,
@@ -375,10 +379,9 @@ def evaluate_prediction(
     max_preds: list[bool] = []
     scores: list[float] = []
     for record, verdict in zip(records, verdicts):
-        if record.heldout_accuracy is None or record.heldout_n is None:
+        if record._heldout_count is None:
             raise DomainError(f"record {record.id!r} is missing held-out fields")
-        heldout = accuracy_to_count(record.heldout_n, record.heldout_accuracy) / record.heldout_n
-        truths.append(heldout > verdict.expected_standard)
+        truths.append(record._heldout_count / record.heldout_n > verdict.expected_standard)
         standard_preds.append(verdict.category != "below_both")
         max_preds.append(verdict.category == "above_both")
         scores.append(1.0 - verdict.p_standard)
@@ -406,9 +409,18 @@ def evaluate_prediction(
 
 
 def _confusion(truths: Sequence[bool], predictions: Sequence[bool]) -> PredictorStats:
-    pairs = Counter(zip(truths, predictions))  # (truth, predicted) -> records
-    return PredictorStats(tp=pairs[True, True], fp=pairs[False, True],
-                          tn=pairs[False, False], fn=pairs[True, False])
+    tp = fp = tn = fn = 0
+    for truth, predicted in zip(truths, predictions):
+        if predicted:
+            if truth:
+                tp += 1
+            else:
+                fp += 1
+        elif truth:
+            fn += 1
+        else:
+            tn += 1
+    return PredictorStats(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 # ---------------------------------------------------------------------------

@@ -354,21 +354,27 @@ def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:
     return float(max_tail(tail_probability_standard(spec, accuracy), spec.t))
 
 
-def min_accuracy_beating_max(spec: TaskSpec, expected_max: float | None = None) -> float | None:
+def min_accuracy_beating_max(spec: TaskSpec) -> float | None:
     """Least attainable accuracy k/n that beats the maximum baseline ``E``.
 
     ``k/n`` beats ``E`` when the float ``k / n`` is greater, as in
-    ``audit.categorize_observation``, so ``1/m`` at t = 1 does not.  The exact
-    ``k/n`` first exceeds ``E`` at ``k = floor(n E) + 1``; when that ``k / n``
-    rounds to ``E``, ``k + 1`` is the least.  ``expected_max`` passes ``E`` on.
+    ``audit.categorize_observation``, so ``1/m`` at t = 1 does not.
     None when ``E`` is 1.0: every example is certain, or ``E`` rounds to 1.
     """
-    bar = expected_max_accuracy(spec) if expected_max is None else expected_max
+    return _least_accuracy_over(spec.n, expected_max_accuracy(spec))
+
+
+def _least_accuracy_over(n: int, bar: float) -> float | None:
+    """Least float ``k / n`` greater than ``bar``, or None when no ``k <= n`` gives one.
+
+    The exact ``k/n`` first exceeds ``bar`` at ``k = floor(n bar) + 1``; when
+    that ``k / n`` rounds to ``bar``, ``k + 1`` is the least.
+    """
     p, q = bar.as_integer_ratio()
-    k = spec.n * p // q + 1
-    if k / spec.n <= bar:
+    k = n * p // q + 1
+    if k / n <= bar:
         k += 1
-    return k / spec.n if k <= spec.n else None
+    return k / n if k <= n else None
 
 
 def min_accuracy_at_significance(spec: TaskSpec, alpha: float) -> float | None:
