@@ -21,6 +21,7 @@ from .audit import (
     aggregate,
     categorize_observation,
     classify,
+    classify_records,
     empirical_expected_max,
     empirical_expected_maxima,
     evaluate_prediction,
@@ -95,6 +96,7 @@ __all__ = [
     "binomial_distribution",
     "categorize_observation",
     "classify",
+    "classify_records",
     "count_distribution",
     "empirical_expected_max",
     "empirical_expected_maxima",

@@ -27,7 +27,17 @@ import numpy as np
 
 from .dist import LabelScheme, PerExampleLabels, UniformLabels
 from .errors import DomainError, FeasibilityError
-from .orderstat import TaskSpec, _check_t, accuracy_to_count, baseline_report
+from .orderstat import (
+    _T_BLOCK_ELEMENTS,
+    TaskSpec,
+    _base,
+    _check_t,
+    accuracy_to_count,
+    baseline_report,  # unused here; perfbench/tracing.py wraps audit.baseline_report
+    expected_max_accuracies,
+    expected_standard_accuracy,
+    max_tail,
+)
 
 __all__ = [
     "CATEGORIES",
@@ -44,6 +54,7 @@ __all__ = [
     "empirical_expected_maxima",
     "categorize_observation",
     "classify",
+    "classify_records",
     "aggregate",
     "evaluate_prediction",
     "roc_points",
@@ -241,7 +252,15 @@ def empirical_expected_max(accuracies: Sequence[float], t: int) -> float:
 
 
 def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) -> list[float]:
-    """:func:`empirical_expected_max` at each ``t`` in ``ts``, sorting the sample once."""
+    """:func:`empirical_expected_max` at each ``t`` in ``ts``, sorting the sample once.
+
+    The weights ``P(V <= v)^t - P(V < v)^t`` are raised for a block of ``t``
+    at a time, at most ``_T_BLOCK_ELEMENTS`` elements or one row.  Each row's
+    exponent is broadcast, so numpy runs the ``pow`` loop it runs for one
+    ``t``; ``t = 2`` is squared, as ``** 2`` squares one ``t``.  Each row
+    meets the values in a dot of its own.  So every value has the bits of
+    its one-t call.
+    """
     if len(accuracies) == 0:
         raise DomainError("accuracies must be nonempty")
     for t in ts:
@@ -250,7 +269,15 @@ def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) ->
     distinct, counts = np.unique(values, return_counts=True)
     at_most = np.cumsum(counts) / values.size
     below = at_most - counts / values.size
-    return [float(distinct @ (at_most**t - below**t)) for t in ts]
+    times = np.array([float(t) for t in ts])[:, None]
+    step = max(1, _T_BLOCK_ELEMENTS // distinct.size)
+    curve: list[float] = []
+    for start in range(0, len(times), step):
+        block = times[start : start + step]
+        weights = at_most**block - below**block
+        weights[block[:, 0] == 2] = at_most**2 - below**2
+        curve += [float(distinct @ row) for row in weights]
+    return curve
 
 
 def categorize_observation(observed: float, expected_standard: float, expected_max: float) -> str:
@@ -269,19 +296,46 @@ def categorize_observation(observed: float, expected_standard: float, expected_m
 
 def classify(record: ExperimentRecord) -> AuditVerdict:
     """Compare one record's best-of-t accuracy, as ``k/n`` of its count, against both baselines."""
-    report = baseline_report(record.spec(), record.observed_max_accuracy)
-    observed = record._count / record.n
-    return AuditVerdict(
-        id=record.id,
-        model=record.model,
-        dataset=record.dataset,
-        observed_max_accuracy=record.observed_max_accuracy,
-        category=categorize_observation(observed, report.expected_standard, report.expected_max),
-        expected_standard=report.expected_standard,
-        expected_max=report.expected_max,
-        p_standard=report.p_standard,
-        p_max=report.p_max,
-    )
+    return classify_records([record])[0]
+
+
+def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
+    """:func:`classify` of each record, in order, in one pass over the records.
+
+    Each task ``(n, labels)`` gets one ``expected_max_accuracies`` call over
+    the distinct ``t`` of its records and one base distribution lookup, and
+    ``max_tail`` runs once, over the p-values of every record.  Every number
+    has the bits that ``baseline_report`` gives for the record on its own.
+    """
+    members: dict[TaskSpec, list[int]] = {}
+    for i, record in enumerate(records):
+        members.setdefault(record.spec()._task, []).append(i)
+    expected_max = [0.0] * len(records)
+    p_standard = np.empty(len(records))
+    for task, indices in members.items():
+        ts = list(dict.fromkeys(records[i].t for i in indices))
+        bars = dict(zip(ts, expected_max_accuracies(task, ts).tolist()))
+        base = _base(task)
+        for i in indices:
+            expected_max[i] = bars[records[i].t]
+            p_standard[i] = base.tail(records[i]._count)
+    p_max = max_tail(p_standard, np.array([float(record.t) for record in records]))
+    verdicts = []
+    for record, bar, tail, max_tail_ in zip(records, expected_max, p_standard.tolist(),
+                                            p_max.tolist()):
+        expected_standard = expected_standard_accuracy(record.spec())
+        verdicts.append(AuditVerdict(
+            id=record.id,
+            model=record.model,
+            dataset=record.dataset,
+            observed_max_accuracy=record.observed_max_accuracy,
+            category=categorize_observation(record._count / record.n, expected_standard, bar),
+            expected_standard=expected_standard,
+            expected_max=bar,
+            p_standard=tail,
+            p_max=max_tail_,
+        ))
+    return verdicts
 
 
 def _count_categories(verdicts: Iterable[AuditVerdict]) -> CategoryCounts:
@@ -591,7 +645,8 @@ def read_records(source: str | Path | TextIO, format: str = "csv") -> LoadResult
     try:
         if hasattr(source, "read"):
             return _read_stream(source, format)  # type: ignore[arg-type]
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        # utf-8-sig: a leading byte-order mark, as spreadsheet exports write, is not data.
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _read_stream(handle, format)
     except UnicodeDecodeError as exc:
         if hasattr(source, "read"):  # a stream cannot be read again for the offset

@@ -30,6 +30,8 @@ from .errors import ConvergenceError, DomainError, FeasibilityError
 from .oracle import SimulationConfig, simulate_expected_max
 from .orderstat import (
     TaskSpec,
+    _base,
+    _ceil_count,
     _least_accuracy_over,
     expected_max_accuracies,
     expected_max_accuracy,
@@ -40,7 +42,7 @@ from .orderstat import (
     p_value_max,
     p_value_standard,
     tail_probability_max,
-    tail_probability_standard,
+    tail_probability_standard,  # unused here; perfbench/tracing.py wraps it in cli
 )
 
 _VALIDATION_EXIT = 2
@@ -76,13 +78,46 @@ def _json_value(value):
     return value
 
 
+def _csv_cells(column) -> list[str]:
+    """``_cell`` of each value of one column, in one pass."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map("{:.12g}".format, column))  # also "nan" and "inf", as _cell prints them
+    return list(map(str if kinds <= {int, str} else _cell, column))
+
+
+def _json_texts(column) -> list[str]:
+    """``json.dumps`` of ``_json_value`` of each value of one column."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map("{:.12g}".format, column))
+        if not {"nan", "inf", "-inf"} & set(texts):
+            return list(map(repr, map(float, texts)))  # json.dumps writes repr of a finite float
+    elif kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, column))
+    elif kinds == {int}:
+        return list(map(repr, column))
+    return [json.dumps(_json_value(value)) for value in column]
+
+
 def _csv_block(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(value) for value in row])
-    return buffer.getvalue()
+    """The header and rows as the lines ``csv.writer`` writes, each column formatted in one pass."""
+    lines = [header, *zip(*map(_csv_cells, zip(*rows)))]
+    fields = "".join(map("".join, lines))
+    if len(header) < 2 or any(special in fields for special in ',"\r\n\0'):
+        buffer = io.StringIO()  # a field to quote, or a lone empty one: csv.writer decides
+        csv.writer(buffer, lineterminator="\n").writerows(lines)
+        return buffer.getvalue()
+    return "".join([",".join(line) + "\n" for line in lines])
+
+
+def _json_block(kind, header, rows) -> str:
+    """Each row as the line ``json.dumps`` writes for its object, keyed by the header
+    and led by ``kind`` unless it is None.  Each column is formatted in one pass."""
+    start = "{" + (f'"kind": {json.dumps(kind)}, ' if kind else "")
+    keys = [json.dumps(key) + ": " for key in header]
+    lines = zip(*map(_json_texts, zip(*rows)))
+    return "".join([start + ", ".join(map(str.__add__, keys, line)) + "}\n" for line in lines])
 
 
 def _emit_sections(sections, fmt: str, out: str | None) -> None:
@@ -94,15 +129,7 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
     the kind is None.  A file that cannot be written is a validation error.
     """
     if fmt == "json":
-        text = "".join(
-            json.dumps(
-                ({"kind": kind} if kind else {})
-                | {key: _json_value(value) for key, value in zip(header, row)}
-            )
-            + "\n"
-            for kind, header, rows in sections
-            for row in rows
-        )
+        text = "".join(_json_block(kind, header, rows) for kind, header, rows in sections)
     else:
         text = "\n".join(_csv_block(header, rows) for _, header, rows in sections)
     if out is None:
@@ -321,7 +348,7 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha):
 def audit(input_path, input_format, eval_heldout):
     """Classify records against both baselines and aggregate the verdicts."""
     records = _load_records_strict(input_path, input_format)
-    verdicts = [audit_mod.classify(record) for record in records]
+    verdicts = audit_mod.classify_records(records)
     summary = audit_mod.aggregate(verdicts)
     scopes = [("total", None, None, summary.total)]
     scopes += [("group", g.model, g.dataset, g.counts) for g in summary.groups]
@@ -377,8 +404,9 @@ def curve(input_path, input_format, t_axis):
 
     Every record must carry per_prompt_accuracies, which require
     JSON-lines input.  The p-value columns evaluate the empirical curve
-    value at each t.  Each record's sample is sorted once and its
-    baseline computed in one pass over the t axis.
+    value at each t.  For each record the sample is sorted once, and the
+    empirical curve, the baseline, the counts' tails and their maxima are
+    each computed over the whole t axis, with the bits of one t at a time.
     """
     records = _load_records_strict(input_path, input_format)
     for record in records:
@@ -391,21 +419,15 @@ def curve(input_path, input_format, t_axis):
     rows = []
     for record in records:
         ts = ts_flag if ts_flag is not None else list(range(1, record.t + 1))
-        task = TaskSpec(n=record.n, labels=record.labels, t=1)
-        empirical_curve = audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)
-        baselines = expected_max_accuracies(task, ts).tolist()
-        for t, empirical, baseline in zip(ts, empirical_curve, baselines):
-            # the estimator is bounded by the sample range; shed float dust
-            empirical = min(max(empirical, 0.0), 1.0)
-            p_standard = tail_probability_standard(task, empirical)
-            rows.append([
-                record.id,
-                t,
-                empirical,
-                baseline,
-                p_standard,
-                float(max_tail(p_standard, t)),
-            ])
+        task = record.spec()._task
+        # the estimator is bounded by the sample range; shed float dust
+        empirical = [min(max(value, 0.0), 1.0) for value in
+                     audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)]
+        # tail_probability_standard and tail_probability_max of each point, as arrays
+        p_standard = _base(task).tails([_ceil_count(task.n, value) for value in empirical])
+        p_max = max_tail(p_standard, np.array([float(t) for t in ts]))
+        rows += zip([record.id] * len(ts), ts, empirical,
+                    expected_max_accuracies(task, ts).tolist(), p_standard.tolist(), p_max.tolist())
     header = ["id", "t", "empirical_expected_max", "expected_max_baseline", "p_standard", "p_max"]
     return [(None, header, rows)]
 

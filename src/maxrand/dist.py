@@ -267,6 +267,12 @@ class CountDistribution:
             return 0.0
         return float(self.window_sf[j])
 
+    def tails(self, ks) -> np.ndarray:
+        """P(X >= k) for each count in ``ks``, the values of :meth:`tail`, in one lookup."""
+        j = np.asarray(ks, dtype=np.int64) - self.lo
+        found = self.window_sf[np.clip(j, 0, len(self.window_sf) - 1)]  # window_sf[0] is 1.0
+        return np.where(j < len(self.window_sf), found, 0.0)
+
 
 def tail_sums(pmf: np.ndarray) -> np.ndarray:
     """P(X >= k) for every k: compensated suffix sums of ``pmf``, capped at 1.

@@ -77,9 +77,10 @@ _DUST_BITS = 30
 # to 10, or 54 of n = 10^6 at m = 2 and 90 at m = 10.
 _BASE_CACHE_BYTES = 32 * 2**20
 
-# Elements (float64) of each block of the t-by-k array that
-# expected_max_accuracies sums row by row: a whole t axis then needs no
-# more memory than one t at n >= 2^15, and 256 KiB per block below.
+# Elements (float64) of each block of the t-by-k arrays that
+# expected_max_accuracies and audit.empirical_expected_maxima sum row by
+# row: a whole t axis then needs no more memory than one t at n >= 2^15,
+# and 256 KiB per block below.
 _T_BLOCK_ELEMENTS = 2**15
 
 
@@ -270,48 +271,56 @@ def expected_max_accuracy(spec: TaskSpec) -> float:
 
 
 def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
-    """:func:`expected_max_accuracy` of ``spec``'s task at each ``t`` in ``ts``.
+    """:func:`expected_max_accuracy` of ``spec``'s task at each ``t`` in ``ts``, bit for bit.
 
-    ``spec.t`` is not used.  The terms for ``k = 1..lo`` of the base
-    distribution's window are exactly 1, as ``S(k) = 1`` there, and those
-    above the window are 0.  Over the rest of the window, ``log1p(-S(k))``
-    is computed once, and the rows
-    ``-expm1(t log1p(-S(k)))`` are summed over ``k`` in blocks of at most
-    ``_T_BLOCK_ELEMENTS``; each row sum has the same bits as the row summed
-    on its own.
+    ``spec.t`` is not used, and ``ts`` may repeat and come in any order.
+    At ``t = 1`` the value is :func:`expected_standard_accuracy`.  For the
+    other ``t`` the terms for ``k = 1..lo`` are exactly 1, as ``S(k) = 1``
+    there, and those above the window are 0.  Over the rest of the window,
+    ``log1p(-S(k))`` is computed once, and the rows
+    ``-expm1(t log1p(-S(k)))`` are summed over ``k`` a block of rows at a
+    time, each block at most ``_T_BLOCK_ELEMENTS`` elements or one row;
+    each row sum has the same bits as the row summed on its own.
     """
     for t in ts:
         _check_t(t)
     base = _base(spec)
-    values = np.empty(len(ts))
-    at_one = np.array([t == 1 for t in ts], dtype=bool)
-    values[at_one] = expected_standard_accuracy(spec)
-    rows = np.flatnonzero(~at_one)
-    if rows.size:
-        times = np.array([float(t) for t in ts])
+    times = np.array([float(t) for t in ts])
+    values = np.full(times.size, expected_standard_accuracy(spec))
+    raised = times != 1
+    if raised.any():
+        times = times[raised]
+        sums = np.empty(times.size)
         # t log(1 - S) is -inf at S = 1, or when it overflows: -expm1 gives 1, the exact limit.
         with np.errstate(divide="ignore", over="ignore"):
             log_below = np.log1p(-base.window_sf[1:])
             step = max(1, _T_BLOCK_ELEMENTS // max(1, log_below.size))
-            for start in range(0, rows.size, step):
-                block = rows[start : start + step]
-                terms = np.multiply.outer(times[block], log_below)
+            for start in range(0, times.size, step):
+                terms = np.multiply.outer(times[start : start + step], log_below)
                 np.expm1(terms, out=terms)
                 np.negative(terms, out=terms)
-                values[block] = terms.sum(axis=1)
-        values[rows] += base.lo
-        values[rows] /= spec.n
+                sums[start : start + step] = terms.sum(axis=1)
+        values[raised] = (sums + base.lo) / spec.n
     return values
 
 
-def max_tail(tail, t: int):
+def max_tail(tail, t):
     """P(best of t >= k) = 1 - (1 - S(k))^t from the tail(s) ``S(k)``, in expm1/log1p
-    form, which stays accurate both when the tail is near 1 and deep in the upper tail."""
-    _check_t(t)
-    if t == 1:
-        return tail
+    form, which stays accurate both when the tail is near 1 and deep in the upper tail.
+
+    ``t`` is one t, or a float array of them, one for each tail.  Either
+    way each value has the bits of its one-t call, and ``t = 1`` gives the
+    tail itself.
+    """
+    if np.ndim(t) == 0:
+        _check_t(t)
+        if t == 1:
+            return tail
+    elif not (t >= 1).all():
+        raise DomainError("t must be >= 1")
     with np.errstate(divide="ignore", over="ignore"):
-        return -np.expm1(t * np.log1p(-tail))
+        raised = -np.expm1(t * np.log1p(-tail))
+    return raised if np.ndim(t) == 0 else np.where(t == 1, tail, raised)
 
 
 def p_value_standard(spec: TaskSpec, observed: float) -> float:
@@ -342,11 +351,16 @@ def tail_probability_standard(spec: TaskSpec, accuracy: float) -> float:
     """
     if not 0.0 <= accuracy <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {accuracy}")
+    return _base(spec).tail(_ceil_count(spec.n, accuracy))
+
+
+def _ceil_count(n: int, accuracy: float) -> int:
+    """``ceil(n a)`` from the exact float ``a``, or ``k`` when ``a`` is float dust on ``k/n``."""
     p, q = accuracy.as_integer_ratio()
-    count = -(-spec.n * p // q)  # ceil(n a), exactly
-    if (spec.n * p - (count - 1) * q) << _DUST_BITS <= (count - 1) * q:
+    count = -(-n * p // q)  # ceil(n a), exactly
+    if (n * p - (count - 1) * q) << _DUST_BITS <= (count - 1) * q:
         count -= 1  # float dust above (count - 1) / n
-    return _base(spec).tail(count)
+    return count
 
 
 def tail_probability_max(spec: TaskSpec, accuracy: float) -> float:

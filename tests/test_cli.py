@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import json
@@ -19,6 +20,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import maxrand.cli as cli_mod
 import maxrand.dist as dist_mod
 import maxrand.oracle as oracle_mod
 import maxrand.orderstat as orderstat_mod
@@ -508,6 +510,24 @@ class TestMalformedInputFiles:
                                  f"{data.index(0xff)} (invalid start byte)\n")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", RECORD_HEADER + "r1,a,x,10,2,5,0.5\n"),
+        (".jsonl", CURVE_JSONL),
+    ], ids=["csv", "jsonl"])
+    def test_a_leading_byte_order_mark_is_not_data(self, runner, tmp_path, command, suffix,
+                                                   text):
+        # Spreadsheet "CSV UTF-8" exports start the file with the mark EF BB BF.
+        plain = tmp_path / f"plain{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / f"marked{suffix}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = runner.invoke(main, [command, str(plain)])
+        result = runner.invoke(main, [command, str(marked)])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            expected.exit_code, expected.stdout, expected.stderr)
+        # curve reads the CSV record and then refuses it for lack of per-prompt accuracies
+        assert result.exit_code == (2 if (command, suffix) == ("curve", ".csv") else 0)
+
     @pytest.mark.parametrize("line, message", [
         ("[" * 10**5, "invalid JSON: maximum recursion depth exceeded"),
         ('{"n": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit (4300 digits)"),
@@ -595,16 +615,16 @@ class TestCurveCommand:
                    "t": len(counts), "observed_max_accuracy": max(counts) / n,
                    "per_prompt_accuracies": [k / n for k in counts]}
         looked_up = []
-        tail = dist_mod.CountDistribution.tail
+        tails = dist_mod.CountDistribution.tails
 
-        def recorded(distribution, k):
-            looked_up.append(k)
-            return tail(distribution, k)
+        def recorded(distribution, ks):
+            looked_up.extend(ks)
+            return tails(distribution, ks)
 
         with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
             path = Path(folder) / "records.jsonl"
             path.write_text(json.dumps(payload) + "\n")
-            patch.setattr(dist_mod.CountDistribution, "tail", recorded)
+            patch.setattr(dist_mod.CountDistribution, "tails", recorded)
             result = CliRunner().invoke(main, ["curve", str(path), "--t", str(t)])
         assert result.exit_code == 0, result.output
         assert looked_up == [expected]
@@ -800,3 +820,37 @@ class TestDeterminismAndErrors:
         csv_row = rows(runner.invoke(main, args).output)[0]
         payload = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
         assert float(csv_row["expected_max"]) == payload["expected_max"]
+
+
+# Cell values of every kind the commands emit, and some they do not.
+cell_values = {
+    "float": st.floats(),  # with nan, inf and -0.0
+    "text": st.text(alphabet=st.characters(exclude_characters="\0"), max_size=6)
+    | st.sampled_from(["", "a,b", 'say "x"', "a\nb", "a\rb", "é"]),
+    "int": st.integers(),
+    "mixed": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.text(alphabet=st.characters(exclude_characters="\0"), max_size=3),
+                       st.floats().map(np.float64)),
+}
+
+
+class TestColumnEmission:
+    """Sections are formatted a column at a time, with the bytes of the value-by-value rules."""
+
+    @given(kinds=st.lists(st.sampled_from(sorted(cell_values)), min_size=1, max_size=4),
+           kind=st.sampled_from([None, "verdict"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_print_what_the_cell_rules_print(self, kinds, kind, data):
+        header = [f"h{i}" for i in range(len(kinds))]
+        table = data.draw(st.lists(st.tuples(*(cell_values[k] for k in kinds)), max_size=6))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in table:
+            writer.writerow([cli_mod._cell(value) for value in row])
+        assert cli_mod._csv_block(header, table) == buffer.getvalue()
+        objects = [({"kind": kind} if kind else {})
+                   | {key: cli_mod._json_value(value) for key, value in zip(header, row)}
+                   for row in table]
+        assert cli_mod._json_block(kind, header, table) == "".join(
+            json.dumps(obj) + "\n" for obj in objects)
