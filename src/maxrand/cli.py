@@ -86,38 +86,24 @@ def _csv_cells(column) -> list[str]:
     return list(map(str if kinds <= {int, str} else _cell, column))
 
 
-def _json_texts(column) -> list[str]:
-    """``json.dumps`` of ``_json_value`` of each value of one column."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        texts = list(map("{:.12g}".format, column))
-        if not {"nan", "inf", "-inf"} & set(texts):
-            return list(map(repr, map(float, texts)))  # json.dumps writes repr of a finite float
-    elif kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, column))
-    elif kinds == {int}:
-        return list(map(repr, column))
-    return [json.dumps(_json_value(value)) for value in column]
+def _json_values(column) -> list:
+    """``_json_value`` of each value of one column, in one pass."""
+    if set(map(type, column)) != {float}:
+        return list(map(_json_value, column))
+    return [None if text == "nan" else float(text) for text in map("{:.12g}".format, column)]
 
 
 def _csv_block(header, rows) -> str:
-    """The header and rows as the lines ``csv.writer`` writes, each column formatted in one pass."""
-    lines = [header, *zip(*map(_csv_cells, zip(*rows)))]
-    fields = "".join(map("".join, lines))
-    if len(header) < 2 or any(special in fields for special in ',"\r\n\0'):
-        buffer = io.StringIO()  # a field to quote, or a lone empty one: csv.writer decides
-        csv.writer(buffer, lineterminator="\n").writerows(lines)
-        return buffer.getvalue()
-    return "".join([",".join(line) + "\n" for line in lines])
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *zip(*map(_csv_cells, zip(*rows)))])
+    return buffer.getvalue()
 
 
 def _json_block(kind, header, rows) -> str:
-    """Each row as the line ``json.dumps`` writes for its object, keyed by the header
-    and led by ``kind`` unless it is None.  Each column is formatted in one pass."""
-    start = "{" + (f'"kind": {json.dumps(kind)}, ' if kind else "")
-    keys = [json.dumps(key) + ": " for key in header]
-    lines = zip(*map(_json_texts, zip(*rows)))
-    return "".join([start + ", ".join(map(str.__add__, keys, line)) + "}\n" for line in lines])
+    """One ``json.dumps`` line per row, keyed by the header and led by ``kind`` unless it is None."""
+    lead = {"kind": kind} if kind else {}
+    return "".join([json.dumps(lead | dict(zip(header, row))) + "\n"
+                    for row in zip(*map(_json_values, zip(*rows)))])
 
 
 def _emit_sections(sections, fmt: str, out: str | None) -> None:
