@@ -267,8 +267,11 @@ def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) ->
         _check_t(t)
     values = np.asarray(accuracies, dtype=float)
     distinct, counts = np.unique(values, return_counts=True)
-    at_most = np.cumsum(counts) / values.size
-    below = at_most - counts / values.size
+    # Both from the exact integer counts, so each below is the previous
+    # at_most, bit for bit, and the weights telescope.
+    cumulative = np.cumsum(counts)
+    at_most = cumulative / values.size
+    below = (cumulative - counts) / values.size
     times = np.array([float(t) for t in ts])[:, None]
     step = max(1, _T_BLOCK_ELEMENTS // distinct.size)
     curve: list[float] = []
@@ -303,7 +306,7 @@ def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
     """:func:`classify` of each record, in order, in one pass over the records.
 
     Each task ``(n, labels)`` gets one ``expected_max_accuracies`` call over
-    the distinct ``t`` of its records and one base distribution lookup, and
+    the distinct ``t`` of its records and one ``tails`` lookup of its counts, and
     ``max_tail`` runs once, over the p-values of every record.  Every number
     has the bits that ``baseline_report`` gives for the record on its own.
     """
@@ -315,10 +318,9 @@ def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
     for task, indices in members.items():
         ts = list(dict.fromkeys(records[i].t for i in indices))
         bars = dict(zip(ts, expected_max_accuracies(task, ts).tolist()))
-        base = _base(task)
         for i in indices:
             expected_max[i] = bars[records[i].t]
-            p_standard[i] = base.tail(records[i]._count)
+        p_standard[indices] = _base(task).tails([records[i]._count for i in indices])
     p_max = max_tail(p_standard, np.array([float(record.t) for record in records]))
     verdicts = []
     for record, bar, tail, max_tail_ in zip(records, expected_max, p_standard.tolist(),

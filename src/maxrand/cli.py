@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import audit as audit_mod
-from .dist import LabelScheme, PerExampleLabels, UniformLabels
+from .dist import LabelScheme, UniformLabels
 from .errors import ConvergenceError, DomainError, FeasibilityError
 from .oracle import SimulationConfig, simulate_expected_max
 from .orderstat import (
@@ -304,12 +304,6 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha):
     scheme = _scheme(m, labels)
     ns = _parse_axis(n_axis, "--n")
     ts = _parse_axis(t_axis, "--t")
-    if isinstance(scheme, PerExampleLabels):
-        for n in ns:
-            if scheme.n != n:
-                raise DomainError(
-                    f"per-example scheme has {scheme.n} probabilities but the n axis contains {n}"
-                )
     if quantity == "p_value" and acc is None:
         raise DomainError("--quantity p_value requires --acc")
     if quantity == "threshold" and alpha is None:

@@ -11,9 +11,9 @@ Poisson binomial as the convolution of one binomial per distinct p_i,
 cut back after each step to the entries whose tail mass is not
 negligible, then the upper tail ``S(k) = P(X >= k)`` by one vectorised
 suffix sum per build, compensated with the error-free TwoSum
-transformation.  The cdf, the log-pmf and the
-arrays over every count are derived from these; an independent
-regularized-incomplete-beta binomial cdf serves as a cross-check.
+transformation.  A distribution keeps only these two window arrays; an
+independent regularized-incomplete-beta binomial cdf serves as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ __all__ = [
     "tail_sums",
 ]
 
-# Largest n built.  A distribution stores O(sqrt(n)) floats, but its derived
-# arrays over every count hold n + 1.
+# Largest n built.  A distribution stores O(sqrt(n)) floats, but its pmf over
+# every count holds n + 1.
 MAX_N = 10**7
 
 
@@ -82,7 +82,7 @@ class PerExampleLabels:
     order (ascending label count) and how many examples have each.
     Equality and hashing are those of these two short tuples, so a
     permutation of a scheme equals it and shares its cache entry.
-    ``n`` and ``probabilities`` are derived from them.
+    ``n`` is derived from them, and no list of every ``p_i`` is kept.
 
     Probabilities must lie in (0, 1]; a zero-probability example would
     make the count degenerate and is rejected.
@@ -150,17 +150,6 @@ class PerExampleLabels:
         """Number of examples."""
         return sum(self.multiplicities)
 
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        """Every example's ``p_i``, in the canonical order the histogram fixes.
-
-        The examples of each distinct ``p_i`` are spread evenly: the j-th
-        of k sits at (j + 1/2) / k, and ties go to the larger ``p_i``.
-        """
-        positions = np.concatenate([(np.arange(k) + 0.5) / k for k in self.multiplicities])
-        expanded = np.repeat(self.distinct, self.multiplicities)
-        return tuple(expanded[np.argsort(positions, kind="stable")].tolist())
-
     @functools.cached_property
     def _mean(self) -> float:
         # The sum of every p_i, exactly: each p_i is an integer over a power
@@ -211,9 +200,9 @@ class CountDistribution:
     ``window_pmf`` and ``window_sf`` are read-only arrays of ``P(X = k)``
     and ``S(k) = P(X >= k)`` for those counts, indexed by ``k - lo``;
     ``window_sf[0] == 1.0`` exactly and ``S`` is nonincreasing.  Below
-    the window ``S(k)`` is exactly 1.0, above it 0.0.  ``pmf``, ``sf``,
-    ``cdf`` and ``log_pmf`` are the read-only arrays over every count
-    ``0..n``, derived on each access.
+    the window ``S(k)`` is exactly 1.0, above it 0.0.  These two arrays
+    are all a distribution keeps; :meth:`tail` and :meth:`tails` read
+    ``S`` from them, and ``pmf`` spreads the window over every count.
     """
 
     n: int
@@ -226,51 +215,22 @@ class CountDistribution:
         """The largest count of the window."""
         return self.lo + len(self.window_pmf) - 1
 
-    def _over_all_counts(self, window: np.ndarray, below: float) -> np.ndarray:
-        out = np.zeros(self.n + 1)
-        out[: self.lo] = below
-        out[self.lo : self.hi + 1] = window
-        out.flags.writeable = False
-        return out
-
     @property
     def pmf(self) -> np.ndarray:
-        """P(X = k) for k = 0..n."""
-        return self._over_all_counts(self.window_pmf, 0.0)
-
-    @property
-    def sf(self) -> np.ndarray:
-        """S(k) = P(X >= k) for k = 0..n, with ``sf[0] == 1.0``."""
-        return self._over_all_counts(self.window_sf, 1.0)
-
-    @property
-    def cdf(self) -> np.ndarray:
-        """P(X <= k) = 1 - S(k + 1), nondecreasing with ``cdf[n] == 1.0``."""
-        out = np.append(1.0 - self.sf[1:], 1.0)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def log_pmf(self) -> np.ndarray:
-        """log P(X = k); ``-inf`` wherever ``pmf`` is zero or has underflowed."""
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pmf)
+        """P(X = k) for k = 0..n, a read-only array built on each access."""
+        out = np.zeros(self.n + 1)
+        out[self.lo : self.hi + 1] = self.window_pmf
         out.flags.writeable = False
         return out
 
     def tail(self, k: int) -> float:
-        """P(X >= k), looked up in ``window_sf``."""
-        j = k - self.lo
-        if j <= 0:
-            return 1.0
-        if j >= len(self.window_sf):
-            return 0.0
-        return float(self.window_sf[j])
+        """P(X >= k), the one-count case of :meth:`tails`."""
+        return float(self.tails([k])[0])
 
     def tails(self, ks) -> np.ndarray:
-        """P(X >= k) for each count in ``ks``, the values of :meth:`tail`, in one lookup."""
+        """P(X >= k) for each count in ``ks``, in one lookup: 1.0 below the window, 0.0 above it."""
         j = np.asarray(ks, dtype=np.int64) - self.lo
-        found = self.window_sf[np.clip(j, 0, len(self.window_sf) - 1)]  # window_sf[0] is 1.0
+        found = self.window_sf.take(j, mode="clip")  # below the window, window_sf[0] is 1.0
         return np.where(j < len(self.window_sf), found, 0.0)
 
 

@@ -27,6 +27,11 @@ def bernoulli_enumeration_pmf(probabilities) -> list[float]:
     return [float(value) for value in pmf]
 
 
+def expanded_probabilities(scheme) -> list[float]:
+    """Every example's p_i of a per-example scheme: each distinct p_i, repeated, in its order."""
+    return [p for p, k in zip(scheme.distinct, scheme.multiplicities) for _ in range(k)]
+
+
 def max_tuple_enumeration_pmf(base_pmf, t: int) -> list[float]:
     """Pmf of the max of t iid draws, summing all (n+1)^t weighted tuples."""
     n = len(base_pmf) - 1

@@ -135,7 +135,8 @@ def test_identity_suite():
         for p in (0.1, 0.25, 0.5, 1 / 3):
             dist = binomial_distribution(n, p)
             for k in range(n + 1):
-                worst_beta = max(worst_beta, abs(binomial_cdf_beta(n, p, k) - dist.cdf[k]))
+                cdf = 1.0 - dist.tail(k + 1)
+                worst_beta = max(worst_beta, abs(binomial_cdf_beta(n, p, k) - cdf))
     worst_reduction = 0.0
     for n, m in ((1, 2), (10, 3), (37, 4), (100, 2)):
         spec = TaskSpec.uniform(n, m, 1)

@@ -77,8 +77,9 @@ def one_t_estimate(accuracies, t: int) -> float:
     """The empirical expected maximum at one t, as a single product and dot."""
     values = np.asarray(accuracies, dtype=float)
     distinct, counts = np.unique(values, return_counts=True)
-    at_most = np.cumsum(counts) / values.size
-    below = at_most - counts / values.size
+    cumulative = np.cumsum(counts)
+    at_most = cumulative / values.size
+    below = (cumulative - counts) / values.size
     return float(distinct @ (at_most**t - below**t))
 
 

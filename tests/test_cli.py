@@ -249,8 +249,11 @@ class TestGridCommand:
         assert missing_alpha.exit_code == 2
 
     def test_per_example_scheme_needs_matching_n(self, runner):
+        # TaskSpec rejects the n = 4 cell; the n = 3 row computed before it is not written.
         result = runner.invoke(main, ["grid", "--n", "3,4", "--t", "1", "--labels", "2;3;4"])
         assert result.exit_code == 2
+        assert result.stderr == "error: per-example scheme has 3 probabilities but n=4\n"
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("axis", ["2:3,5", "1,2:3", "1:2,3:4"])
     def test_mixed_axis_syntax_exits_2(self, runner, axis):

@@ -75,7 +75,7 @@ PER_EXAMPLE = [2, 3, 4, 5, 2, 7, 3, 10, 2, 4, 6, 3]
 def per_draw_maxima(config):
     """Each trial's best accuracy with every one of its t draws looked up, in one draw."""
     spec = config.spec
-    cdf = count_distribution(spec.labels, spec.n).cdf
+    cdf = 1.0 - count_distribution(spec.labels, spec.n).tails(np.arange(1, spec.n + 2))
     rng = np.random.Generator(np.random.PCG64(config.seed))
     counts = np.searchsorted(cdf, rng.random((config.trials, spec.t)), side="right")
     return counts.max(axis=1) / spec.n

@@ -21,10 +21,13 @@ exact 1/count.  Beyond 2,000 examples the binomial reference covers
 examples the per-example reference is a one-example-at-a-time dynamic
 program in double-double arithmetic (see ``double_double_pmf``).  The
 threshold solvers are also checked against the count scans they replaced.
+The empirical estimator behind ``curve`` must agree with its reference to
+``ESTIMATOR_RTOL`` relative at 10^4 prompts.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,12 +42,14 @@ from maxrand import (
     TaskSpec,
     UniformLabels,
     count_distribution,
+    empirical_expected_maxima,
     expected_max_accuracy,
     min_accuracy_at_significance,
     min_accuracy_beating_max,
     p_value_max,
     p_value_standard,
 )
+from oracles import expanded_probabilities
 
 mp = mpmath.mp.clone()
 mp.dps = 40
@@ -53,6 +58,9 @@ EPS = 2.0**-52
 EXPECTED_MAX_RTOL = 1e-15
 P_VALUE_C = 8
 SMALLEST_TAIL = 1e-290
+# Before its weights telescoped, the estimator was off by about 490 eps on the
+# samples of test_empirical_estimator_at_ten_thousand_prompts_matches_the_reference.
+ESTIMATOR_RTOL = 64 * EPS
 # Terms of n E[max] within this of 1 count as 1, and those below it as 0.
 NEGLIGIBLE = 1e-30
 TS = [1, 10, 10**4, 10**6]
@@ -94,7 +102,7 @@ def reference_tails(n: int, labels) -> tuple[int, list]:
         for k in range(lo, hi):
             pmf.append(pmf[-1] * (n - k) / (k + 1) * ratio)
     elif n > 2000:
-        lo, pmf = double_double_pmf(tuple(round(1 / p) for p in labels.probabilities))
+        lo, pmf = double_double_pmf(tuple(round(1 / p) for p in expanded_probabilities(labels)))
     else:
         # The pmf times the product of the counts: the coefficients of the
         # product of (count - 1 + x) over the examples, in exact integers.
@@ -257,15 +265,15 @@ def test_grouped_per_example_tails_are_as_close_as_the_dynamic_program_was():
     # program this route replaced was at worst 4.1e-14 on this scheme.
     n, labels = per_example_scheme(2000)
     lo, tails = reference_tails(n, labels)
-    sf = count_distribution(labels, n).sf
-    worst = max(relative_error(sf[k], tail) for k, tail in enumerate(tails)
+    dist = count_distribution(labels, n)
+    worst = max(relative_error(dist.tail(k), tail) for k, tail in enumerate(tails)
                 if tail >= SMALLEST_TAIL)
     assert worst <= 2 * 4.1e-14
 
 
 def test_per_example_window_at_the_documented_n_holds_every_nonzero_value():
     n, labels = per_example_scheme(20_000)
-    lo, pmf = double_double_pmf(tuple(round(1 / p) for p in labels.probabilities))
+    lo, pmf = double_double_pmf(tuple(round(1 / p) for p in expanded_probabilities(labels)))
     dist = count_distribution(labels, n)
     assert lo < dist.lo and dist.hi < lo + len(pmf) - 1
     tiny = mp.mpf(2) ** -1075
@@ -318,7 +326,32 @@ label_schemes = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_threshold_solvers_agree_with_the_count_scans(labels, n, t, alpha):
     if isinstance(labels, PerExampleLabels):
-        n = len(labels.probabilities)
+        n = labels.n
     spec = TaskSpec(n=n, labels=labels, t=t)
     assert min_accuracy_beating_max(spec) == least_count_above_by_scan(spec)
     assert min_accuracy_at_significance(spec, alpha) == least_significant_count_by_scan(spec, alpha)
+
+
+def reference_empirical_expected_max(values, t: int):
+    """sum over distinct v of v (P(V <= v)^t - P(V < v)^t) for the sample, at 40 digits."""
+    counts = Counter(values)
+    total, below = mp.mpf(0), 0
+    for value in sorted(counts):
+        at_most = below + counts[value]
+        total += mp.mpf(value) * ((mp.mpf(at_most) / len(values)) ** t
+                                  - (mp.mpf(below) / len(values)) ** t)
+        below = at_most
+    return total
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_empirical_estimator_at_ten_thousand_prompts_matches_the_reference(seed):
+    # Accuracies k/n of 10^4 prompts with a small mean and a wide spread,
+    # where the rounding of the weights showed most.
+    rng = random.Random(seed)
+    n = 10**5
+    values = [min(n, max(0, round(n * rng.gauss(0.2, 0.15)))) / n for _ in range(10**4)]
+    ts = [1, 2, 12, 500, 10**4]
+    for t, value in zip(ts, empirical_expected_maxima(values, ts)):
+        reference = reference_empirical_expected_max(values, t)
+        assert relative_error(value, reference) <= ESTIMATOR_RTOL, t
