@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .dist import LabelScheme, PerExampleLabels, UniformLabels
+from .dist import LabelScheme, PerExampleLabels, UniformLabels, _integer
 from .errors import DomainError, FeasibilityError
 from .orderstat import (
     _T_BLOCK_ELEMENTS,
@@ -534,10 +534,6 @@ def _parse_labels(value: object, field: str = "labels") -> LabelScheme:
 
 
 def _parse_int(value: object, field: str) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"{field} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
     # JSON admits NaN, Infinity and 1e400 (which parses as inf).
     if isinstance(value, float) and math.isfinite(value) and value.is_integer():
         return int(value)
@@ -546,7 +542,7 @@ def _parse_int(value: object, field: str) -> int:
             return int(value.strip())
         except ValueError:
             raise DomainError(f"{field} must be an integer, got {value!r}") from None
-    raise DomainError(f"{field} must be an integer, got {value!r}")
+    return _integer(value, field)
 
 
 def _parse_float(value: object, field: str) -> float:

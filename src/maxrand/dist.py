@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ class UniformLabels:
     m: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "label count m"))
         if self.m < 2:
             raise DomainError(f"label count m must be >= 2, got {self.m}")
         if self.m > sys.float_info.max:
@@ -116,9 +118,13 @@ class PerExampleLabels:
         Only the distinct counts are checked and inverted; a bad one is
         then looked for in ``counts``, so the error names its index.
         """
-        scheme = cls._from_count_histogram(Counter(counts))
-        if scheme is not None:
-            return scheme
+        histogram = Counter(counts)
+        # A Counter merges True with the count 1, so the counts are searched
+        # for a boolean only when 1 is a key.
+        if not (1 in histogram and any(isinstance(c, _BOOLS) for c in counts)):
+            scheme = cls._from_count_histogram(histogram)
+            if scheme is not None:
+                return scheme
         for i, c in enumerate(counts):
             if not _is_label_count(c):
                 raise DomainError(f"label count {c!r} at index {i} must be a positive integer")
@@ -178,7 +184,7 @@ def _is_probability(p: object) -> bool:
 
 def _is_label_count(c: object) -> bool:
     try:
-        return int(c) == c and c >= 1
+        return not isinstance(c, _BOOLS) and int(c) == c and c >= 1
     except (TypeError, ValueError, OverflowError):  # None; NaN or a string; infinity
         return False
 
@@ -228,8 +234,17 @@ class CountDistribution:
         return float(self.tails([k])[0])
 
     def tails(self, ks) -> np.ndarray:
-        """P(X >= k) for each count in ``ks``, in one lookup: 1.0 below the window, 0.0 above it."""
-        j = np.asarray(ks, dtype=np.int64) - self.lo
+        """P(X >= k) for each count in ``ks``, in one lookup: 1.0 below the window, 0.0 above it.
+
+        ``ks`` is read by one ``np.asarray``: an array that numpy holds as
+        floats, bools, text or objects is a DomainError.
+        """
+        counts = np.asarray(ks)
+        if counts.dtype.kind != "i":  # a uint64 count beyond int64 is above the window
+            if counts.size and counts.dtype.kind != "u":  # [] reads as float64
+                raise DomainError(f"counts must be integers, got {counts.dtype} values")
+            counts = np.minimum(counts, self.n + 1).astype(np.int64)
+        j = counts - self.lo
         found = self.window_sf.take(j, mode="clip")  # below the window, window_sf[0] is 1.0
         return np.where(j < len(self.window_sf), found, 0.0)
 
@@ -279,12 +294,27 @@ def _finalize(n: int, lo: int, pmf: np.ndarray) -> CountDistribution:
     return CountDistribution(n=n, lo=lo, window_pmf=pmf, window_sf=sf)
 
 
-def _check_n(n: int) -> None:
-    """Reject ``n`` outside 1..MAX_N before anything of size n is allocated."""
+_BOOLS = (bool, np.bool_)
+
+
+def _integer(value: object, name: str) -> int:
+    """``value`` as ``operator.index`` reads it, a Python or numpy integer but not a bool."""
+    try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_n(n: int) -> int:
+    """``n`` as an integer, rejected outside 1..MAX_N before anything of size n is allocated."""
+    n = _integer(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > MAX_N:
         raise FeasibilityError(f"n={n} exceeds the largest supported n, {MAX_N}")
+    return n
 
 
 # A tail mass below 2^-1075 rounds to 0.0 in float64: the level, in nats,
@@ -508,7 +538,7 @@ def binomial_distribution(n: int, p: float) -> CountDistribution:
         DomainError: if ``n < 1`` or ``p`` is outside [0, 1].
         FeasibilityError: if ``n > MAX_N`` or the pmf misses unit mass by over 1e-9.
     """
-    _check_n(n)
+    n = _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     return _finalize(n, *_binomial_window(n, p))

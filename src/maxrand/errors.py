@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["MaxrandError", "DomainError", "FeasibilityError", "ConvergenceError"]
+
 
 class MaxrandError(Exception):
     """Base class for every error this package raises deliberately."""

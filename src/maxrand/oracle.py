@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import count_distribution
+from .dist import _integer, count_distribution
 from .errors import DomainError, FeasibilityError
 from .orderstat import TaskSpec, _base
 
@@ -63,6 +63,8 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:

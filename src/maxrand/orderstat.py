@@ -31,6 +31,7 @@ from .dist import (
     PerExampleLabels,
     UniformLabels,
     _check_n,
+    _integer,
     count_distribution,
     tail_sums,  # unused here; perfbench/tracing.py wraps orderstat.tail_sums
 )
@@ -86,12 +87,14 @@ _BASE_CACHE_BYTES = 32 * 2**20
 _T_BLOCK_ELEMENTS = 2**15
 
 
-def _check_t(t: int) -> None:
-    """Reject ``t`` outside 1..the largest float: every formula raises a tail to the power t."""
+def _check_t(t: int) -> int:
+    """``t`` as an integer in 1..the largest float: every formula raises a tail to the power t."""
+    t = _integer(t, "t")
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     if t > sys.float_info.max:
         raise DomainError(f"t={t} exceeds the largest float, {sys.float_info.max:.4g}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class TaskSpec:
     t: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
-        _check_t(self.t)
+        object.__setattr__(self, "n", _check_n(self.n))
+        object.__setattr__(self, "t", _check_t(self.t))
         if isinstance(self.labels, PerExampleLabels) and self.labels.n != self.n:
             raise DomainError(
                 f"per-example scheme has {self.labels.n} probabilities but n={self.n}"
@@ -245,7 +248,7 @@ def max_order_distribution(base: CountDistribution, t: int) -> MaxOrderDistribut
     of consecutive cdf values.  ``t = 1`` returns the base pmf and
     ``1 - S(k+1)``.
     """
-    _check_t(t)
+    t = _check_t(t)
     above = base.tails(np.arange(1, base.n + 2))  # S(k + 1) for k = 0..n
     if t == 1:
         pmf_max = base.pmf
@@ -312,16 +315,17 @@ def max_tail(tail, t):
     """P(best of t >= k) = 1 - (1 - S(k))^t from the tail(s) ``S(k)``, in expm1/log1p
     form, which stays accurate both when the tail is near 1 and deep in the upper tail.
 
-    ``t`` is one t, or a float array of them, one for each tail.  Either
-    way each value has the bits of its one-t call, and ``t = 1`` gives the
-    tail itself.
+    ``t`` is one integer t, or a float array of integral t, one for each
+    tail.  Either way each value has the bits of its one-t call, and
+    ``t = 1`` gives the tail itself.
     """
     if np.ndim(t) == 0:
-        _check_t(t)
-        if t == 1:
+        if _check_t(t) == 1:
             return tail
-    elif not (t >= 1).all():
-        raise DomainError("t must be >= 1")
+    else:
+        valid = (t >= 1) & (t < np.inf) & (np.trunc(t) == t)
+        if not valid.all():
+            raise DomainError(f"t must hold integers >= 1, got {float(t[~valid][0])}")
     with np.errstate(divide="ignore", over="ignore"):
         raised = -np.expm1(t * np.log1p(-tail))
     return raised if np.ndim(t) == 0 else np.where(t == 1, tail, raised)

@@ -179,6 +179,33 @@ class TestBinomialDistribution:
         assert binomial_distribution(10, 5e-324).pmf[1] == 10 * 5e-324
         assert poisson_binomial_distribution([5e-324] * 3 + [0.5]).pmf[2] > 0.0
 
+    @pytest.mark.parametrize("count", [2.5, 2.9, 2.0, True, "3", 10**20])
+    def test_tails_reads_integer_counts_only(self, count):
+        dist = binomial_distribution(10, 0.5)
+        with pytest.raises(DomainError, match="counts must be integers"):
+            dist.tails([count])
+        with pytest.raises(DomainError, match="counts must be integers"):
+            dist.tail(count)
+
+    def test_integer_counts_of_any_width_read_their_tails(self):
+        dist = binomial_distribution(10, 0.5)
+        assert dist.tails([-5, 2, 11]).tolist() == [1.0, dist.tail(2), 0.0]
+        for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+            counts = np.array([0, 2, 11], dtype=dtype)
+            assert dist.tails(counts).tolist() == [1.0, dist.tail(2), 0.0]
+        # Beyond int64, numpy holds a count as uint64: above the window, so its tail is 0.
+        assert dist.tails([2**63, 2**64 - 1]).tolist() == [0.0, 0.0]
+        assert dist.tail(np.uint64(2**64 - 1)) == 0.0
+        assert dist.tails([]).shape == (0,)
+        with pytest.raises(DomainError, match="counts must be integers"):
+            dist.tails([3, 2.5])
+
+    def test_n_must_be_an_integer(self):
+        for n in (10.0, 10.5, True):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                binomial_distribution(n, 0.5)
+        assert binomial_distribution(np.int64(10), 0.5).n == 10
+
     def test_tail_is_upper_sum(self):
         dist = binomial_distribution(12, 0.4)
         assert dist.tail(0) == 1.0
@@ -327,6 +354,11 @@ class TestLabelSchemes:
         with pytest.raises(DomainError):
             UniformLabels(1)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+    def test_uniform_label_count_must_be_an_integer(self, m):
+        with pytest.raises(DomainError, match="label count m must be an integer"):
+            UniformLabels(m)
+
     def test_per_example_from_label_counts(self):
         scheme = PerExampleLabels.from_label_counts([2, 3, 3, 5])
         assert (scheme.distinct, scheme.multiplicities) == ((0.5, 1 / 3, 0.2), (1, 2, 1))
@@ -344,6 +376,8 @@ class TestLabelSchemes:
     def test_per_example_rejects_bad_counts(self):
         with pytest.raises(DomainError):
             PerExampleLabels.from_label_counts([2, 0])
+        with pytest.raises(DomainError, match="at index 1 must be a positive integer"):
+            PerExampleLabels.from_label_counts([1, np.True_])
         with pytest.raises(DomainError):
             PerExampleLabels((0.5, -0.2))
 

@@ -205,10 +205,15 @@ def test_non_numbers_are_compared_as_python_compares_them():
          "label count 'x' at index 1 must be a positive integer"),
         (PerExampleLabels.from_label_counts, [2, None],
          "label count None at index 1 must be a positive integer"),
+        (PerExampleLabels.from_label_counts, [True, 2],
+         "label count True at index 0 must be a positive integer"),
+        (PerExampleLabels.from_label_counts, [1, True],
+         "label count True at index 1 must be a positive integer"),
         (PerExampleLabels, [0.5, "x"], "probability 'x' at index 1 is outside (0, 1]"),
         (PerExampleLabels, [0.5, None], "probability None at index 1 is outside (0, 1]"),
     ],
-    ids=["inf", "nan", "string", "none", "probability-string", "probability-none"],
+    ids=["inf", "nan", "string", "none", "bool", "bool-merged-with-one", "probability-string",
+         "probability-none"],
 )
 def test_values_that_are_not_counts_or_probabilities_are_domain_errors(build, values, message):
     with pytest.raises(DomainError) as caught:

@@ -180,6 +180,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SimulationConfig(spec=spec, trials=10, seed=2**64)
     SimulationConfig(spec=spec, trials=10, seed=2**64 - 1)
+    for trials, seed in ((2.5, 1), (True, 1), (10, 1.5), (10, 1.0), (10, "1")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SimulationConfig(spec=spec, trials=trials, seed=seed)
+    config = SimulationConfig(spec=spec, trials=np.int64(10), seed=np.uint64(2**64 - 1))
+    assert (type(config.trials), type(config.seed)) == (int, int)
     SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_TRIALS, seed=1)
     with pytest.raises(FeasibilityError):
         SimulationConfig(spec=spec, trials=maxrand.oracle.MAX_TRIALS + 1, seed=1)

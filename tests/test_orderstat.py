@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,7 +246,8 @@ class TestPValues:
         spec = TaskSpec.uniform(2, 2, 2)
         assert abs(p_value_max(spec, 1.0) - 0.4375) < 1e-15
 
-    @pytest.mark.parametrize("t", [0, -1, 10**400])
+    @pytest.mark.parametrize("t", [0, -1, 10**400, 2.5, math.nan, math.inf, np.array([2.0, np.inf]),
+                                   np.array([2.5, 2.0]), np.array([np.nan, 2.0])])
     def test_max_tail_checks_t(self, t):
         with pytest.raises(DomainError, match="t"):
             max_tail(0.5, t)
@@ -425,6 +427,26 @@ class TestTaskSpecAndReport:
             TaskSpec.uniform(10, 2, 0)
         with pytest.raises(DomainError):
             TaskSpec(n=3, labels=PerExampleLabels((0.5, 0.5)), t=1)
+
+    @pytest.mark.parametrize("field, value", [("n", 10.5), ("n", 10.0), ("n", True), ("t", 2.5),
+                                              ("t", 2.0), ("t", False), ("t", "2")])
+    def test_n_and_t_must_be_integers(self, field, value):
+        fields = {"n": 10, "labels": UniformLabels(2), "t": 2, field: value}
+        with pytest.raises(DomainError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            TaskSpec(**fields)
+
+    def test_numpy_integers_are_read_as_python_integers(self):
+        spec = TaskSpec(n=np.int64(10), labels=UniformLabels(np.int32(3)), t=np.uint8(4))
+        assert spec == TaskSpec.uniform(10, 3, 4)
+        assert [type(value) for value in (spec.n, spec.labels.m, spec.t)] == [int, int, int]
+
+    def test_every_t_argument_must_be_an_integer(self):
+        spec = TaskSpec.uniform(10, 2, 3)
+        with pytest.raises(DomainError, match="t must be an integer, got 2.0"):
+            expected_max_accuracies(spec, [1, 2.0])
+        with pytest.raises(DomainError, match="t must be an integer, got 2.5"):
+            max_order_distribution(binomial_distribution(10, 0.5), 2.5)
+        assert max_order_distribution(binomial_distribution(10, 0.5), np.int64(2)).t == 2
 
     def test_report_without_observation(self):
         report = baseline_report(TaskSpec.uniform(100, 2, 10))
