@@ -320,7 +320,8 @@ def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
         bars = dict(zip(ts, expected_max_accuracies(task, ts).tolist()))
         for i in indices:
             expected_max[i] = bars[records[i].t]
-        p_standard[indices] = _base(task).tails([records[i]._count for i in indices])
+        counts = np.array([records[i]._count for i in indices], np.int64)
+        p_standard[indices] = _base(task).tails(counts)
     p_max = max_tail(p_standard, np.array([float(record.t) for record in records]))
     verdicts = []
     for record, bar, tail, max_tail_ in zip(records, expected_max, p_standard.tolist(),

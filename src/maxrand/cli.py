@@ -404,7 +404,8 @@ def curve(input_path, input_format, t_axis):
         empirical = [min(max(value, 0.0), 1.0) for value in
                      audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)]
         # tail_probability_standard and tail_probability_max of each point, as arrays
-        p_standard = _base(task).tails([_ceil_count(task.n, value) for value in empirical])
+        counts = np.array([_ceil_count(task.n, value) for value in empirical], np.int64)
+        p_standard = _base(task).tails(counts)
         p_max = max_tail(p_standard, np.array([float(t) for t in ts]))
         rows += zip([record.id] * len(ts), ts, empirical,
                     expected_max_accuracies(task, ts).tolist(), p_standard.tolist(), p_max.tolist())

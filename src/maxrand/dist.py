@@ -237,9 +237,15 @@ class CountDistribution:
         """P(X >= k) for each count in ``ks``, in one lookup: 1.0 below the window, 0.0 above it.
 
         ``ks`` is read by one ``np.asarray``: an array that numpy holds as
-        floats, bools, text or objects is a DomainError.
+        floats, bools, text or objects is a DomainError.  ``np.asarray``
+        reads a bool among integers as 0 or 1, so counts that are not
+        already an array are scanned for bools once; callers with many
+        counts pass an integer array.
         """
         counts = np.asarray(ks)
+        if counts.dtype.kind in "iu" and not isinstance(ks, np.ndarray):
+            if any(isinstance(k, _BOOLS) for k in np.asarray(ks, dtype=object).flat):
+                raise DomainError("counts must be integers, got a bool among them")
         if counts.dtype.kind != "i":  # a uint64 count beyond int64 is above the window
             if counts.size and counts.dtype.kind != "u":  # [] reads as float64
                 raise DomainError(f"counts must be integers, got {counts.dtype} values")

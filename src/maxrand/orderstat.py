@@ -228,6 +228,7 @@ def accuracy_to_count(n: int, observed: float) -> int:
     from every k/n: silently rounding could flip a p-value at a decision
     boundary, and at any ``n`` no value between two counts maps to either.
     """
+    n = _integer(n, "n")
     if not 0.0 <= observed <= 1.0:
         raise DomainError(f"accuracy must lie in [0, 1], got {observed}")
     if n > sys.float_info.max:

@@ -200,6 +200,12 @@ class TestBinomialDistribution:
         with pytest.raises(DomainError, match="counts must be integers"):
             dist.tails([3, 2.5])
 
+    @pytest.mark.parametrize("counts", [[3, True], (False, 3), [3, np.True_], [[3], [True]]])
+    def test_tails_reads_a_bool_among_integers_as_no_count(self, counts):
+        # np.asarray reads [3, True] as the int64 array [3, 1].
+        with pytest.raises(DomainError, match="counts must be integers"):
+            binomial_distribution(10, 0.5).tails(counts)
+
     def test_n_must_be_an_integer(self):
         for n in (10.0, 10.5, True):
             with pytest.raises(DomainError, match="n must be an integer"):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -100,6 +103,74 @@ def per_draw_maxima(config):
 def test_one_lookup_per_trial_gives_the_maxima_of_every_lookup(spec, trials):
     config = SimulationConfig(spec=spec, trials=trials, seed=17)
     assert np.array_equal(maxrand.oracle._simulated_maxima(config), per_draw_maxima(config))
+
+
+DEFAULT_CHUNK = maxrand.oracle._CHUNK_DRAWS
+COLUMN_MAX_T = maxrand.oracle._COLUMN_MAX_T
+PER_EXAMPLE_SPEC = TaskSpec(n=12, labels=PerExampleLabels.from_label_counts(PER_EXAMPLE), t=40)
+
+
+@pytest.mark.parametrize("chunk", [8, 64, DEFAULT_CHUNK])
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(TaskSpec.uniform(30, 2, t), id=f"t{t}")
+     for t in sorted({1, 2, 31, 32, 33, COLUMN_MAX_T, COLUMN_MAX_T + 1, 100, 1000})]
+    + [pytest.param(PER_EXAMPLE_SPEC, id="per-example")],
+)
+def test_chunked_maxima_equal_the_maxima_of_every_lookup(monkeypatch, spec, chunk):
+    # Two default chunks and three trials more: every chunk size ends on a
+    # partial chunk, or on a partial piece of a trial longer than a chunk.
+    trials = 2 * max(1, DEFAULT_CHUNK // spec.t) + 3
+    config = SimulationConfig(spec=spec, trials=trials, seed=spec.t)
+    monkeypatch.setattr(maxrand.oracle, "_CHUNK_DRAWS", chunk)
+    assert np.array_equal(maxrand.oracle._simulated_maxima(config), per_draw_maxima(config))
+
+
+@pytest.mark.parametrize(
+    "spec, trials",
+    [
+        pytest.param(TaskSpec.uniform(316, 5, 1), 10**5 + 3, id="t1"),
+        pytest.param(TaskSpec.uniform(100, 2, 10), 2, id="two-trials"),
+        pytest.param(TaskSpec.uniform(100, 2, 1000), 101, id="t1000"),
+        pytest.param(PER_EXAMPLE_SPEC, 5000, id="per-example"),
+        pytest.param(TaskSpec(n=1, labels=PerExampleLabels((1.0,)), t=3), 100, id="constant"),
+    ],
+)
+def test_estimate_and_error_have_the_bits_of_mean_and_std(spec, trials):
+    config = SimulationConfig(spec=spec, trials=trials, seed=11)
+    maxima = maxrand.oracle._simulated_maxima(config)
+    result = simulate_expected_max(config)
+    assert result.estimate == float(maxima.mean())
+    assert result.std_error == float(maxima.std(ddof=1)) / math.sqrt(trials)
+
+
+def test_one_trial_has_zero_error():
+    config = SimulationConfig(spec=TaskSpec.uniform(100, 2, 10), trials=1, seed=11)
+    result = simulate_expected_max(config)
+    assert result.estimate == maxrand.oracle._simulated_maxima(config)[0]
+    assert result.std_error == 0.0
+
+
+@pytest.mark.parametrize(
+    "t, trials, bound",
+    [
+        # The 8 MB of maxima, and one chunk's draws and lookup temporaries.
+        pytest.param(1, 10**6, 8 * 10**6 + 2**21, id="t1"),
+        pytest.param(10**4, 100, 2**20, id="t10000"),
+    ],
+)
+def test_simulation_holds_the_maxima_and_one_chunk(t, trials, bound):
+    spec = TaskSpec.uniform(316, 5, t)
+    # Build and cache the base distribution, and make numpy's one-time
+    # allocations, before tracing.
+    simulate_expected_max(SimulationConfig(spec=spec, trials=2, seed=3))
+    tracemalloc.start()
+    try:
+        simulate_expected_max(SimulationConfig(spec=spec, trials=trials, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def window_cdf(spec):

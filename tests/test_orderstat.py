@@ -338,6 +338,12 @@ class TestAccuracyToCount:
             with pytest.raises(DomainError):
                 accuracy_to_count(n, accuracy)
 
+    def test_n_must_be_an_integer(self):
+        for n in (10.0, 10.5, True, "10"):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                accuracy_to_count(n, 0.5)
+        assert accuracy_to_count(np.int64(10), 0.5) == 5
+
 
 class TestTailProbabilities:
     def test_matches_p_value_at_attainable_accuracies(self):
