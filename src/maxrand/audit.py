@@ -14,9 +14,11 @@ the multiset of inputs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -30,12 +32,11 @@ from .errors import DomainError, FeasibilityError
 from .orderstat import (
     _T_BLOCK_ELEMENTS,
     TaskSpec,
-    _base,
+    _accuracy_counts,
     _check_t,
+    _Tails,
     accuracy_to_count,
     baseline_report,  # unused here; perfbench/tracing.py wraps audit.baseline_report
-    expected_max_accuracies,
-    expected_standard_accuracy,
     max_tail,
 )
 
@@ -89,13 +90,14 @@ class ExperimentRecord:
     heldout_n: int | None = None
     warnings: tuple[str, ...] = ()
     # __post_init__ sets _count and _heldout_count, the counts k of
-    # observed_max_accuracy and heldout_accuracy that every decision reads.
+    # observed_max_accuracy and heldout_accuracy that every decision reads,
+    # and _task, the record's task (n, labels) as a t = 1 spec.
     _heldout_count = None
 
     def __post_init__(self) -> None:
         # TaskSpec construction validates n, t and the labels length.
         spec = TaskSpec(n=self.n, labels=self.labels, t=self.t)
-        object.__setattr__(self, "_spec", spec)
+        object.__setattr__(self, "_task", spec._task)
         object.__setattr__(self, "_count", accuracy_to_count(spec.n, self.observed_max_accuracy))
         if self.per_prompt_accuracies is not None:
             if len(self.per_prompt_accuracies) == 0:
@@ -107,11 +109,8 @@ class ExperimentRecord:
                     f"does not match the per-prompt maximum {best}/{spec.n}"
                 )
             if len(self.per_prompt_accuracies) != self.t:
-                message = (
-                    f"record {self.id!r}: t={self.t} but "
-                    f"{len(self.per_prompt_accuracies)} per-prompt accuracies given; t wins"
-                )
-                object.__setattr__(self, "warnings", self.warnings + (message,))
+                object.__setattr__(self, "warnings", self.warnings + (
+                    _length_warning(self.id, self.t, len(self.per_prompt_accuracies)),))
         if self.heldout_accuracy is not None:
             if self.heldout_n is None:
                 raise DomainError(f"record {self.id!r}: heldout_accuracy without heldout_n")
@@ -122,8 +121,24 @@ class ExperimentRecord:
         elif self.heldout_n is not None:
             raise DomainError(f"record {self.id!r}: heldout_n without heldout_accuracy")
 
+    @classmethod
+    def _checked(cls, task: TaskSpec, count: int, heldout_count: int | None,
+                 *values) -> "ExperimentRecord":
+        """A record of field values and counts that ``read_records`` checked as ``__post_init__`` does."""
+        record = cls.__new__(cls)
+        vars(record).update(zip(_RECORD_FIELDS, values), _task=task, _count=count,
+                            _heldout_count=heldout_count)
+        return record
+
     def spec(self) -> TaskSpec:
-        return self._spec
+        return TaskSpec(n=self.n, labels=self.labels, t=self.t)
+
+
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(ExperimentRecord))
+
+
+def _length_warning(record_id: str, t: int, given: int) -> str:
+    return f"record {record_id!r}: t={t} but {given} per-prompt accuracies given; t wins"
 
 
 @dataclass(frozen=True)
@@ -303,42 +318,35 @@ def classify(record: ExperimentRecord) -> AuditVerdict:
 
 
 def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
-    """:func:`classify` of each record, in order, in one pass over the records.
+    """:func:`classify` of each record, in order, in one flat pass over the file.
 
-    Each task ``(n, labels)`` gets one ``expected_max_accuracies`` call over
-    the distinct ``t`` of its records and one ``tails`` lookup of its counts, and
-    ``max_tail`` runs once, over the p-values of every record.  Every number
-    has the bits that ``baseline_report`` gives for the record on its own.
+    One flat pass over the distinct ``(task, t)`` rows of the file gives
+    every maximum baseline (``orderstat._Tails``), each p-value is read from
+    its task's tail, and ``max_tail`` runs once, over the p-values of every
+    record.  Every number has the bits that ``baseline_report`` gives for
+    the record on its own.
     """
-    members: dict[TaskSpec, list[int]] = {}
-    for i, record in enumerate(records):
-        members.setdefault(record.spec()._task, []).append(i)
-    expected_max = [0.0] * len(records)
-    p_standard = np.empty(len(records))
-    for task, indices in members.items():
-        ts = list(dict.fromkeys(records[i].t for i in indices))
-        bars = dict(zip(ts, expected_max_accuracies(task, ts).tolist()))
-        for i in indices:
-            expected_max[i] = bars[records[i].t]
-        counts = np.array([records[i]._count for i in indices], np.int64)
-        p_standard[indices] = _base(task).tails(counts)
+    if not records:
+        return []
+    tasks: dict[TaskSpec, int] = {}
+    task = [tasks.setdefault(record._task, len(tasks)) for record in records]
+    keys = list(zip(task, [record.t for record in records]))
+    rows = {key: i for i, key in enumerate(sorted(set(keys)))}  # each task's rows together
+    table = _Tails(list(tasks))
+    maxima = table.expected_maxima([i for i, _ in rows], [t for _, t in rows])
+    expected_max = maxima[[rows[key] for key in keys]]
+    counts = np.array([record._count for record in records], np.int64)
+    p_standard = table.tails(task, counts)
     p_max = max_tail(p_standard, np.array([float(record.t) for record in records]))
-    verdicts = []
-    for record, bar, tail, max_tail_ in zip(records, expected_max, p_standard.tolist(),
-                                            p_max.tolist()):
-        expected_standard = expected_standard_accuracy(record.spec())
-        verdicts.append(AuditVerdict(
-            id=record.id,
-            model=record.model,
-            dataset=record.dataset,
-            observed_max_accuracy=record.observed_max_accuracy,
-            category=categorize_observation(record._count / record.n, expected_standard, bar),
-            expected_standard=expected_standard,
-            expected_max=bar,
-            p_standard=tail,
-            p_max=max_tail_,
-        ))
-    return verdicts
+    standard = np.array([record.labels.expected_accuracy() for record in records])
+    observed = counts / np.array([record.n for record in records])
+    category = np.where(observed <= standard, 0, np.where(observed <= expected_max, 1, 2))
+    return [
+        AuditVerdict(record.id, record.model, record.dataset, record.observed_max_accuracy,
+                     CATEGORIES[c], *numbers)
+        for record, c, *numbers in zip(records, category.tolist(), standard.tolist(),
+                                       expected_max.tolist(), p_standard.tolist(), p_max.tolist())
+    ]
 
 
 def _count_categories(verdicts: Iterable[AuditVerdict]) -> CategoryCounts:
@@ -488,7 +496,41 @@ _REQUIRED_FIELDS = ("id", "model", "dataset", "n", "labels", "t", "observed_max_
 
 def parse_label_counts(text: str) -> PerExampleLabels:
     """Per-example label counts written ``2;3;4``; a single count is one example."""
-    return _label_counts(text.split(";"))
+    scheme = _scheme_of_counts(_digit_counts(text))
+    return scheme if scheme is not None else _label_counts(text.split(";"))
+
+
+def _digit_counts(text: str, separator: str = ";") -> np.ndarray | None:
+    """The counts of ``text`` as int64, if it is ASCII digits between separators and spaces.
+
+    numpy reads text more leniently than ``int`` does (``"3 4"`` reads as
+    3 under numpy 1), so text it does not read as one count per separator
+    is None, for :func:`_parse_int` to read count by count.  An empty count
+    reads as 0, which no caller takes.  numpy clamps a count beyond int64,
+    so a count of 10^18 or more is read count by count too.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, b"0123456789 " + separator.encode("ascii")) \
+            or not data[:1].isdigit() or not data[-1:].isdigit():
+        return None
+    try:
+        counts = np.fromstring(text, dtype=np.int64, sep=separator)
+    except ValueError:  # numpy 2 stops on text it cannot read
+        return None
+    if counts.size != text.count(separator) + 1 or counts.max() >= 10**18:
+        return None
+    return counts
+
+
+def _scheme_of_counts(counts: np.ndarray | None) -> PerExampleLabels | None:
+    """The scheme of an int64 array of label counts, from one histogram; None unless each is >= 1."""
+    if counts is None or counts.size == 0 or counts.min() < 1:
+        return None
+    distinct, multiplicities = np.unique(counts, return_counts=True)
+    return PerExampleLabels._from_count_histogram(
+        dict(zip(distinct.tolist(), multiplicities.tolist())))
 
 
 def _label_counts(values: Sequence[object]) -> PerExampleLabels:
@@ -520,10 +562,8 @@ def _label_counts(values: Sequence[object]) -> PerExampleLabels:
 
 
 def _parse_labels(value: object, field: str = "labels") -> LabelScheme:
-    if isinstance(value, bool):
-        raise DomainError(f"{field} must be an integer or per-example counts, got {value!r}")
-    if isinstance(value, int):
-        return UniformLabels(value)
+    if isinstance(value, PerExampleLabels):  # read by _decode_label_array
+        return value
     if isinstance(value, (list, tuple)):
         return _label_counts(value)
     if isinstance(value, str):
@@ -531,6 +571,10 @@ def _parse_labels(value: object, field: str = "labels") -> LabelScheme:
         if ";" in text:
             return parse_label_counts(text)
         return UniformLabels(_parse_int(text, field))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return UniformLabels(value)
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return UniformLabels(_parse_int(value, field))  # 4.0 is 4, as for n and t
     raise DomainError(f"{field} must be an integer or per-example counts, got {value!r}")
 
 
@@ -576,52 +620,189 @@ def _parse_text(value: object, field: str) -> str:
 def _parse_accuracies(value: object, field: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise DomainError("must be an array of accuracies")
+    if set(map(type, value)) <= {float}:
+        return tuple(value)
     return tuple(_parse_float(v, field) for v in value)
 
 
-# Every record field with its parser, in the order rows report errors.
+# Columns that one call reads as the parser reads each value: ints or
+# floats as they are, text through int or float (both strip, as the
+# parsers do), and text that encodes as UTF-8 as it is.  A column of any
+# other kinds is None; a ValueError means some value is for the parser
+# to reject.
+def _int_column(values: list) -> list | None:
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    return list(map(int, map(str.strip, values))) if kinds == {str} else None
+
+
+def _float_column(values: list) -> list | None:
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return values
+    return list(map(float, map(str.strip, values))) if kinds == {str} else None
+
+
+def _labels_column(values: list) -> list | None:
+    # A file repeats its tasks: equal ints, or equal text, are read once.
+    kinds = set(map(type, values)) - {list, PerExampleLabels}
+    if not (kinds <= {int} or kinds <= {str}):
+        return None
+    once = {value: _parse_labels(value) for value in {v for v in values if type(v) in kinds}}
+    return [once[value] if type(value) in kinds else _parse_labels(value) for value in values]
+
+
+def _text_column(values: list) -> list | None:
+    if not set(map(type, values)) <= {str}:
+        return None
+    "".join(values).encode("utf-8")
+    return values
+
+
+# Every record field with its parser and its column reader, in the order
+# rows report errors.
 _FIELD_PARSERS = (
-    ("n", _parse_int),
-    ("t", _parse_int),
-    ("observed_max_accuracy", _parse_float),
-    ("labels", _parse_labels),
-    ("heldout_accuracy", _parse_float),
-    ("heldout_n", _parse_int),
-    ("per_prompt_accuracies", _parse_accuracies),
-    ("id", _parse_text),
-    ("model", _parse_text),
-    ("dataset", _parse_text),
+    ("n", _parse_int, _int_column),
+    ("t", _parse_int, _int_column),
+    ("observed_max_accuracy", _parse_float, _float_column),
+    ("labels", _parse_labels, _labels_column),
+    ("heldout_accuracy", _parse_float, _float_column),
+    ("heldout_n", _parse_int, _int_column),
+    ("per_prompt_accuracies", _parse_accuracies, None),
+    ("id", _parse_text, _text_column),
+    ("model", _parse_text, _text_column),
+    ("dataset", _parse_text, _text_column),
 )
 
 
-def _record_from_mapping(
-    raw: Mapping[str, object], row: int, errors: list[RowError]
-) -> ExperimentRecord | None:
-    present = {
-        key: value
-        for key, value in raw.items()
-        if value is not None and not (isinstance(value, str) and value.strip() == "")
-    }
-    missing = [field for field in _REQUIRED_FIELDS if field not in present]
-    if missing:
-        errors.append(RowError(row, missing[0], f"missing required field(s): {', '.join(missing)}"))
-        return None
-    fields: dict[str, object] = {}
-    ok = True
-    for field, parser in _FIELD_PARSERS:
-        if field in present:
+def _read_column(parser, column_reader, values: list, field: str) -> tuple[list, dict]:
+    """``parser(value, field)`` of every value, and the DomainError of each bad one by index."""
+    if column_reader is not None:
+        try:
+            read = column_reader(values)
+        except ValueError:  # some value is bad: each is read on its own, for its message
+            read = None
+        if read is not None:
+            return read, {}
+    read, errors = [], {}
+    for i, value in enumerate(values):
+        try:
+            read.append(parser(value, field))
+        except DomainError as exc:
+            read.append(None)
+            errors[i] = exc
+    return read, errors
+
+
+def _absent_as_none(column: list) -> list:
+    """The column with None for each value that is absent: null, or blank text."""
+    kinds = set(map(type, column))
+    if str in kinds and (kinds != {str} or "" in column or any(map(str.isspace, column))):
+        return [None if isinstance(value, str) and not value.strip() else value
+                for value in column]
+    return column
+
+
+def _records(rows: list[int], columns: dict[str, list],
+             errors: list[RowError]) -> list[ExperimentRecord]:
+    """The records of the rows numbered ``rows``, from each field's column of values.
+
+    Each field is read as one column, and each distinct task ``(n,
+    labels)`` becomes one t = 1 ``TaskSpec`` that its records share.  The
+    observed, held-out and per-prompt accuracies map to counts in one
+    array pass, ``orderstat._accuracy_counts``.  A row that any of these
+    finds wrong, or that they cannot decide (a ``heldout_n`` above 2^53),
+    is built by ``ExperimentRecord`` itself, which raises the error the
+    row reports.  A bad row adds its :class:`RowError` entries to
+    ``errors`` in field order instead of a record.
+    """
+    columns = {field: _absent_as_none(column) for field, column in columns.items()}
+    missing_rows: set[int] = set()
+    if any(None in columns[field] for field in _REQUIRED_FIELDS):
+        for i, row in enumerate(rows):
+            missing = [field for field in _REQUIRED_FIELDS if columns[field][i] is None]
+            if missing:
+                errors.append(RowError(row, missing[0],
+                                       f"missing required field(s): {', '.join(missing)}"))
+                missing_rows.add(i)
+    bad = set(missing_rows)
+    for field, parser, column_reader in _FIELD_PARSERS:
+        column = columns[field]
+        if not missing_rows and None not in column:
+            columns[field], failed = _read_column(parser, column_reader, column, field)
+            present = range(len(column))
+        else:
+            present = [i for i, value in enumerate(column)
+                       if value is not None and i not in missing_rows]
+            read, failed = _read_column(parser, column_reader, [column[i] for i in present], field)
+            for i, value in zip(present, read):
+                column[i] = value
+        for j, exc in failed.items():
+            errors.append(RowError(rows[present[j]], field, str(exc)))
+            bad.add(present[j])
+    if bad:  # only the rows that parsed go on
+        good = [i for i in range(len(rows)) if i not in bad]
+        rows = [rows[i] for i in good]
+        columns = {field: [column[i] for i in good] for field, column in columns.items()}
+
+    ids, models, datasets, ns, ts, labels, observed, heldout, heldout_ns, per_prompt = (
+        columns[field] for field in ("id", "model", "dataset", "n", "t", "labels",
+                                     "observed_max_accuracy", "heldout_accuracy", "heldout_n",
+                                     "per_prompt_accuracies"))
+    tasks: dict[tuple, TaskSpec | None] = {}
+    task = []
+    for key in zip(ns, labels):
+        spec = tasks.get(key, False)
+        if spec is False:
             try:
-                fields[field] = parser(present[field], field)
-            except DomainError as exc:
-                errors.append(RowError(row, field, str(exc)))
-                ok = False
-    if not ok:
-        return None
-    try:
-        return ExperimentRecord(**fields)  # type: ignore[arg-type]
-    except (DomainError, FeasibilityError) as exc:
-        errors.append(RowError(row, None, str(exc)))
-        return None
+                spec = TaskSpec(n=key[0], labels=key[1], t=1)
+            except (DomainError, FeasibilityError):  # the row's own build names it
+                spec = None
+            tasks[key] = spec
+        task.append(spec)
+    # The rows the array pass decides: a task, t in range, both held-out
+    # fields with heldout_n up to 2^53 or neither, and no empty per-prompt list.
+    checked = [j for j, (spec, t, accuracy, held_n, prompts) in enumerate(
+                   zip(task, ts, heldout, heldout_ns, per_prompt))
+               if spec is not None and 1 <= t <= sys.float_info.max and prompts != ()
+               and (accuracy is None and held_n is None
+                    or accuracy is not None and held_n is not None and 1 <= held_n <= 2**53)]
+    held = [j for j in checked if heldout_ns[j] is not None]
+    prompted = [j for j in checked if per_prompt[j] is not None]
+    lengths = np.array([len(per_prompt[j]) for j in prompted], np.intp)
+    counts, ok = _accuracy_counts(
+        np.concatenate([np.array([ns[j] for j in checked] + [heldout_ns[j] for j in held], float),
+                        np.repeat(np.array([ns[j] for j in prompted], float), lengths)]),
+        np.array([observed[j] for j in checked] + [heldout[j] for j in held]
+                 + [a for j in prompted for a in per_prompt[j]], float))
+    c, h = len(checked), len(held)
+    count = dict(zip(checked, counts[:c].tolist()))
+    fast = dict(zip(checked, ok[:c].tolist()))
+    heldout_count = dict(zip(held, counts[c : c + h].tolist()))
+    for j, k_ok in zip(held, ok[c : c + h].tolist()):
+        fast[j] = fast[j] and k_ok
+    if prompted:
+        starts = c + h + np.cumsum(lengths) - lengths
+        for j, best, all_ok in zip(prompted, np.maximum.reduceat(counts, starts).tolist(),
+                                   np.logical_and.reduceat(ok, starts).tolist()):
+            fast[j] = fast[j] and all_ok and best == count[j]
+    records = []
+    for j, values in enumerate(zip(ids, models, datasets, ns, labels, ts, observed, per_prompt,
+                                   heldout, heldout_ns)):
+        if fast.get(j):
+            prompts, t = values[7], values[5]
+            warnings = () if prompts is None or len(prompts) == t else (
+                _length_warning(values[0], t, len(prompts)),)
+            records.append(ExperimentRecord._checked(task[j], count[j], heldout_count.get(j),
+                                                     *values, warnings))
+            continue
+        try:
+            records.append(ExperimentRecord(**{field: column[j] for field, column in columns.items()
+                                               if column[j] is not None}))
+        except (DomainError, FeasibilityError) as exc:
+            errors.append(RowError(rows[j], None, str(exc)))
+    return records
 
 
 # The longest CSV field read: 2 * 10^4 per-example label counts (the
@@ -665,8 +846,52 @@ def _first_bad_byte(path: str | Path) -> str:
     return "it changed while it was read"
 
 
+# A "labels" array, which json.dumps writes as "labels": [2, 3, 4].
+_LABELS_ARRAY = re.compile(r'"labels": ?\[')
+# A noncharacter, which stands in for the array while json reads the rest.
+_SLOT = "\ufdd0"
+
+
+def _decode_label_array(line: str) -> dict | None:
+    """``json.loads(line)`` with its "labels" array of label counts read as a scheme, or None.
+
+    Most of the bytes of a file with per-example labels are these arrays,
+    and ``json`` makes a Python int of each count.  So the array is cut
+    out, ``json`` reads the line with a string in its place, and the
+    counts are read in one numpy pass.  That gives ``json.loads``'s value
+    only when the string must stand where the array stood, and the counts
+    are what ``json`` reads: so the line holds no backslash and no U+FDD0,
+    the string lands as the object's "labels", and the array is counts of
+    1 or more, without a leading zero (which JSON forbids), between commas
+    and spaces.  Any other line is None, for ``json.loads`` to read.  The
+    caller makes that call itself: ``json`` counts nesting against Python's
+    recursion limit, so one more frame would change the error a deeply
+    nested line reports.
+    """
+    found = _LABELS_ARRAY.search(line)
+    if found is None or "\\" in line or _SLOT in line:
+        return None
+    end = line.find("]", found.end())
+    text = line[found.end() : end]
+    scheme = _scheme_of_counts(_digit_counts(text, ",") if end > 0 else None)
+    if scheme is None:
+        return None
+    codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    if text[0] == "0" or np.any((codes[1:] == ord("0")) & (codes[:-1] < ord("0"))):
+        return None  # a count starts with 0: JSON forbids it
+    try:
+        value = json.loads(f'{line[: found.end() - 1]}"{_SLOT}"{line[end + 1 :]}')
+    except (ValueError, RecursionError):  # json.loads of the line itself names the error
+        return None
+    if not (isinstance(value, dict) and value.get("labels") == _SLOT):
+        return None
+    value["labels"] = scheme
+    return value
+
+
 def _read_stream(stream: TextIO, format: str) -> LoadResult:
-    records: list[ExperimentRecord] = []
+    rows: list[int] = []
+    objects: list[Mapping] = []
     errors: list[RowError] = []
     if format == "csv":
         # The limit is process-wide; it is restored on the way out.
@@ -675,27 +900,30 @@ def _read_stream(stream: TextIO, format: str) -> LoadResult:
             reader = csv.DictReader(stream)
             if reader.fieldnames is None:
                 raise DomainError("CSV input has no header row")
-            for row_number, raw in enumerate(reader, start=1):
-                record = _record_from_mapping(raw, row_number, errors)
-                if record is not None:
-                    records.append(record)
+            objects = list(reader)
         except csv.Error as exc:  # line_num counts the lines read before the bad record
             raise DomainError(f"CSV input line {reader.line_num + 1}: {exc}") from None
         finally:
             csv.field_size_limit(previous_limit)
+        rows = list(range(1, len(objects) + 1))
     else:
         for row_number, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                value = _decode_label_array(line)
+                if value is None:
+                    value = json.loads(line)
             except (ValueError, RecursionError) as exc:  # ValueError: also an int too long
                 errors.append(RowError(row_number, None, f"invalid JSON: {exc}"))
                 continue
-            if not isinstance(raw, dict):
+            if not isinstance(value, dict):
                 errors.append(RowError(row_number, None, "each line must be a JSON object"))
                 continue
-            record = _record_from_mapping(raw, row_number, errors)
-            if record is not None:
-                records.append(record)
+            rows.append(row_number)
+            objects.append(value)
+    columns = {field: [value.get(field) for value in objects] for field, _, _ in _FIELD_PARSERS}
+    records = _records(rows, columns, errors)
+    # Each row's errors come from one stage, in field order; the stages go row by row.
+    errors.sort(key=lambda error: error.row)
     return LoadResult(records=tuple(records), errors=tuple(errors))

@@ -399,7 +399,7 @@ def curve(input_path, input_format, t_axis):
     rows = []
     for record in records:
         ts = ts_flag if ts_flag is not None else list(range(1, record.t + 1))
-        task = record.spec()._task
+        task = record._task
         # the estimator is bounded by the sample range; shed float dust
         empirical = [min(max(value, 0.0), 1.0) for value in
                      audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)]

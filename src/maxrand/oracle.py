@@ -168,11 +168,13 @@ class _InverseCdf:
     the table stores that bucket's accuracy, from the same division as a
     search would make; the other buckets hold NaN and their keys are
     searched.  Each result equals ``(lo + searchsorted(cdf, u,
-    side="right")) / n`` bit for bit.
+    side="right")) / n`` bit for bit.  The buckets of every call go into
+    one buffer, made by the first call.
     """
 
     def __init__(self, cdf: np.ndarray, lo: int, n: int, size: int):
         self.cdf, self.lo, self.n, self.size = cdf, lo, n, size
+        self.buckets = np.empty(0, np.intp)
         scaled = cdf * size
         # below[j] = #{cdf <= j / size} and inside[j] = #{cdf < (j + 1) / size}.
         below = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=size + 1)[:size])
@@ -181,10 +183,12 @@ class _InverseCdf:
         self.table[below != inside] = np.nan
 
     def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # u < 1, so u * size < size fits int32 (size <= MAX_TRIALS / 4) and
-        # the cast truncates to the bucket; the product goes straight into
-        # int32, and mode="clip" lets np.take write into ``out`` unbuffered.
-        buckets = np.multiply(u, self.size, out=np.empty(len(u), np.int32), casting="unsafe")
+        # u < 1, so u * size < size and the cast truncates to the bucket.
+        # The product goes straight into intp, which np.take indexes by
+        # without a copy, and mode="clip" lets it write into ``out`` unbuffered.
+        if len(self.buckets) < len(u):
+            self.buckets = np.empty(len(u), np.intp)
+        buckets = np.multiply(u, self.size, out=self.buckets[: len(u)], casting="unsafe")
         np.take(self.table, buckets, out=out, mode="clip")
         split = np.flatnonzero(np.isnan(out))
         # u in [0, 1) and cdf[-1] == 1, so every search lands in lo..hi.

@@ -17,6 +17,7 @@ call concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 import threading
 from collections import OrderedDict, namedtuple
@@ -85,6 +86,17 @@ _BASE_CACHE_BYTES = 32 * 2**20
 # row: a whole t axis then needs no more memory than one t at n >= 2^15,
 # and 256 KiB per block below.
 _T_BLOCK_ELEMENTS = 2**15
+
+# Elements (float64) of each block of the flat pass over a file's tasks,
+# and of the tails that one log1p reads: 64 KiB, so that a pass allocates
+# and frees nothing large.  Larger blocks put the temporaries of every call
+# beyond malloc's mmap and trim thresholds (128 KiB each by default), and the
+# pass then page-faults them in afresh, about 6,300 faults on the 80 ops of
+# the audit benchmark's four decks with one array for all of a file's tails.
+_FLAT_BLOCK_ELEMENTS = 2**13
+
+# The smallest normal double; tails below it are subnormal.
+_TINY = sys.float_info.min
 
 
 def _check_t(t: int) -> int:
@@ -241,6 +253,20 @@ def accuracy_to_count(n: int, observed: float) -> int:
     return count
 
 
+def _accuracy_counts(ns: np.ndarray, accuracies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`accuracy_to_count` of each pair, as int64 counts and where it would not raise.
+
+    ``ns`` holds integers up to 2^53 as floats, so ``n * a`` is the product
+    the scalar function rounds; ``rint`` rounds half to even, as ``round``.
+    An accuracy outside [0, 1] (NaN too) is not ok, and counts as 0.
+    """
+    ok = (accuracies >= 0.0) & (accuracies <= 1.0)
+    products = ns * np.where(ok, accuracies, 0.0)
+    counts = np.rint(products)
+    ok &= np.abs(products - counts) <= np.minimum(COUNT_TOLERANCE * ns, 0.25)
+    return counts.astype(np.int64), ok
+
+
 def max_order_distribution(base: CountDistribution, t: int) -> MaxOrderDistribution:
     """Sample-maximum distribution of ``t`` iid counts drawn from ``base``.
 
@@ -282,34 +308,126 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
     """:func:`expected_max_accuracy` of ``spec``'s task at each ``t`` in ``ts``, bit for bit.
 
     ``spec.t`` is not used, and ``ts`` may repeat and come in any order.
-    At ``t = 1`` the value is :func:`expected_standard_accuracy`.  For the
-    other ``t`` the terms for ``k = 1..lo`` are exactly 1, as ``S(k) = 1``
-    there, and those above the window are 0.  Over the rest of the window,
-    ``log1p(-S(k))`` is computed once, and the rows
-    ``-expm1(t log1p(-S(k)))`` are summed over ``k`` a block of rows at a
-    time, each block at most ``_T_BLOCK_ELEMENTS`` elements or one row;
-    each row sum has the same bits as the row summed on its own.
+    This is the one-task case of :meth:`_Tails.expected_maxima`.
     """
     for t in ts:
         _check_t(t)
-    base = _base(spec)
-    times = np.array([float(t) for t in ts])
-    values = np.full(times.size, expected_standard_accuracy(spec))
-    raised = times != 1
-    if raised.any():
-        times = times[raised]
+    return _Tails([spec]).expected_maxima([0] * len(ts), ts)
+
+
+class _Tails:
+    """The upper tails ``S`` of several tasks' base distributions, read in one flat pass.
+
+    A file of records takes its maximum baselines and its p-values from
+    these tails at once, with the bits of :func:`expected_max_accuracies`
+    and ``CountDistribution.tails`` task by task.
+    """
+
+    def __init__(self, tasks: Sequence[TaskSpec]):
+        self.tasks = tasks
+        self.bases = [_base(task) for task in tasks]
+
+    def tails(self, task: Sequence[int], counts: np.ndarray) -> np.ndarray:
+        """P(X >= k) for each count under its task ``task[i]``: 1.0 below the window, 0.0 above it."""
+        found = []
+        for i, k in zip(task, counts.tolist()):
+            sf = self.bases[i].window_sf
+            j = k - self.bases[i].lo
+            found.append(sf[max(j, 0)] if j < len(sf) else 0.0)
+        return np.array(found, float)
+
+    def expected_maxima(self, task: Sequence[int], ts: Sequence[int]) -> np.ndarray:
+        """The maximum baseline of task ``task[i]`` at ``ts[i]``, for each row ``i``.
+
+        At ``t = 1`` the value is :func:`expected_standard_accuracy`.  For
+        the other ``t`` the terms for ``k = 1..lo`` are exactly 1, as
+        ``S(k) = 1`` there, and those above the window are 0.  Over the rest
+        of each window ``log1p(-S(k))`` is computed once, by one call for a
+        group of tasks.  The terms ``-expm1(t log1p(-S(k)))`` of the rows are
+        laid end to end in blocks of at most ``_FLAT_BLOCK_ELEMENTS`` elements
+        (``_T_BLOCK_ELEMENTS`` for one task) or one row, a run of rows of one
+        task as one outer product, and each
+        block takes one ``expm1``.  Each row is summed on its own, so it has
+        the bits of its one-t call.
+        """
+        times = np.array([float(t) for t in ts])
+        task = np.asarray(task, np.intp)
+        values = np.array([expected_standard_accuracy(spec) for spec in self.tasks])[task]
+        raised = np.flatnonzero(times != 1)
+        if raised.size:
+            rows = task[raised]
+            sums = self._row_sums(rows.tolist(), times[raised])
+            lo = np.array([base.lo for base in self.bases])
+            values[raised] = (sums + lo[rows]) / np.array([spec.n for spec in self.tasks])[rows]
+        return values
+
+    def _row_sums(self, task: list[int], times: np.ndarray) -> np.ndarray:
         sums = np.empty(times.size)
+        column = times[:, None]
+        # One task's t axis takes the blocks the one-task loop took; a file's
+        # tasks take blocks that stay below malloc's thresholds.
+        capacity = _T_BLOCK_ELEMENTS if len(self.tasks) == 1 else _FLAT_BLOCK_ELEMENTS
+        # Runs of rows of one task, in groups whose windows fill at most a block
+        # (or one task): a group takes one log1p and fills blocks of rows.
+        groups: list[list[tuple[int, int, int]]] = [[]]  # (task, rows, window above lo)
+        width = 0
+        for i, rows in itertools.groupby(task):
+            size = len(self.bases[i].window_sf) - 1
+            if groups[-1] and width + size > capacity:
+                groups.append([])
+                width = 0
+            groups[-1].append((i, len(list(rows)), size))
+            width += size
+        first = 0
         # t log(1 - S) is -inf at S = 1, or when it overflows: -expm1 gives 1, the exact limit.
-        with np.errstate(divide="ignore", over="ignore"):
-            log_below = np.log1p(-base.window_sf[1:])
-            step = max(1, _T_BLOCK_ELEMENTS // max(1, log_below.size))
-            for start in range(0, times.size, step):
-                terms = np.multiply.outer(times[start : start + step], log_below)
-                np.expm1(terms, out=terms)
-                np.negative(terms, out=terms)
-                sums[start : start + step] = terms.sum(axis=1)
-        values[raised] = (sums + base.lo) / spec.n
-    return values
+        with np.errstate(over="ignore"):
+            for group in groups:
+                logs = _log_below([self.bases[i].window_sf[1:] for i, _, _ in group])
+                buffer = np.empty(min(sum(rows * size for _, rows, size in group),
+                                      max(capacity, max(size for *_, size in group))))
+                pending: list[tuple[np.ndarray, np.ndarray]] = []  # (a block's rows, their sums)
+                used = offset = 0
+                for i, count, size in group:
+                    log = logs[offset : offset + size]
+                    offset += size
+                    step = max(1, capacity // max(1, size))
+                    for row in range(first, first + count, step):
+                        rows = min(step, first + count - row)
+                        if used + rows * size > buffer.size:
+                            _sum_rows(buffer[:used], pending)
+                            used = 0
+                        block = buffer[used : used + rows * size].reshape(rows, size)
+                        np.multiply(column[row : row + rows], log, out=block)
+                        pending.append((block, sums[row : row + rows]))
+                        used += rows * size
+                    first += count
+                _sum_rows(buffer[:used], pending)
+        return sums
+
+
+def _log_below(tails: list[np.ndarray]) -> np.ndarray:
+    """``log1p(-S)`` of the tails ``S`` laid end to end.
+
+    log1p is slow where its value is known: -inf at S = 1, which holds from
+    lo to about 8 standard deviations below the mean (28% of the counts of
+    the audit benchmark's files), and -S, the correctly rounded value, where
+    S is subnormal (1.4%, but tens of times slower per count).  numpy gives
+    -S there too, under AVX-512 and AVX2 dispatch alike.
+    """
+    tail = np.negative(tails[0] if len(tails) == 1 else np.concatenate(tails))
+    ones = tail == -1.0
+    np.log1p(tail, out=tail, where=(tail <= -_TINY) & ~ones)
+    tail[ones] = -np.inf
+    return tail
+
+
+def _sum_rows(terms: np.ndarray, pending: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Turn a block of ``t log1p(-S)`` into ``-expm1`` terms and sum each pending row into its slot."""
+    np.expm1(terms, out=terms)
+    np.negative(terms, out=terms)
+    for rows, out in pending:
+        np.add.reduce(rows, axis=1, out=out)
+    pending.clear()
 
 
 def max_tail(tail, t):

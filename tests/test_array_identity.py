@@ -112,6 +112,52 @@ def test_verdicts_have_the_bits_of_baseline_report_and_the_count_rule(chosen, da
         assert classify(record) == verdict
 
 
+# (n, labels) with windows from one count (every example certain) to the
+# 38,601 counts of n = 10^6 at m = 2.
+window_tasks = st.one_of(
+    st.tuples(st.sampled_from([1, 2, 7, 1000, 20_000, 10**6]) | st.integers(1, 10**6),
+              st.integers(2, 10)),
+    st.integers(1, 40).map(lambda n: (n, [1] * n)),
+    st.lists(st.integers(1, 10), min_size=1, max_size=300).map(lambda counts: (len(counts),
+                                                                               counts)),
+)
+
+
+@given(chosen=st.lists(window_tasks, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_file_of_mixed_tasks_has_the_bits_of_baseline_report(chosen, data):
+    # A few t per file, t = 1 among them, so that records repeat (task, t) rows.
+    pool = data.draw(st.lists(evaluations, min_size=1, max_size=3), label="ts") + [1]
+    payloads = []
+    for i in range(data.draw(st.integers(min_value=1, max_value=16), label="records")):
+        n, labels = data.draw(st.sampled_from(chosen), label="task")
+        base = _base(TaskSpec(n=n, labels=scheme(labels), t=1))
+        edges = [0, base.lo - 1, base.lo, base.lo + 1, (base.lo + base.hi) // 2, base.hi - 1,
+                 base.hi, base.hi + 1, n]
+        k = min(max(data.draw(st.sampled_from(edges), label="k"), 0), n)
+        payloads.append({"id": f"r{i}", "model": "m", "dataset": "d", "n": n, "labels": labels,
+                         "t": data.draw(st.sampled_from(pool), label="t"),
+                         "observed_max_accuracy": k / n})
+    records, _ = write_and_read(payloads)
+    for record, verdict in zip(records, classify_records(records), strict=True):
+        report = baseline_report(record.spec(), record.observed_max_accuracy)
+        assert verdict.category == categorize_observation(
+            record._count / record.n, report.expected_standard, report.expected_max)
+        for field in ("expected_standard", "expected_max", "p_standard", "p_max"):
+            assert bits(getattr(verdict, field)) == bits(getattr(report, field)), field
+        assert bits(verdict.expected_max) == bits(one_t_baseline(record))
+
+
+def one_t_baseline(record) -> float:
+    """The maximum baseline of one record, summed on its own from the base tail."""
+    base = _base(record._task)
+    if record.t == 1:
+        return record.labels.expected_accuracy()
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = -np.expm1(float(record.t) * np.log1p(-base.window_sf[1:]))
+    return (terms.sum() + base.lo) / record.n
+
+
 def assert_rows_have_the_scalar_bits(record, rows):
     accuracies = record.per_prompt_accuracies
     for record_id, t, empirical, baseline, p_standard, p_max in rows:

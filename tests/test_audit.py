@@ -432,6 +432,24 @@ class TestReadRecords:
         result = read_records(io.StringIO(text), format="csv")
         assert result.errors[0].field == "labels"
 
+    def test_an_integral_float_m_is_read_as_n_and_t_are(self):
+        fields = {"id": "j", "model": "m", "dataset": "d", "n": 100.0, "t": 3.0,
+                  "observed_max_accuracy": 0.5}
+        lines = [json.dumps(fields | {"labels": labels}) for labels in (4.0, 4, 4.5, True)]
+        result = read_records(io.StringIO("\n".join(lines) + "\n"), format="jsonl")
+        assert [record.labels for record in result.records] == [UniformLabels(4)] * 2
+        assert [(error.row, error.field, error.message) for error in result.errors] == [
+            (3, "labels", "labels must be an integer or per-example counts, got 4.5"),
+            (4, "labels", "labels must be an integer or per-example counts, got True"),
+        ]
+        # CSV text is read by int(), as n is: "4.0" stays an error.
+        text = "id,model,dataset,n,labels,t,observed_max_accuracy\nr,m,d,100.0,4.0,3,0.5\n"
+        result = read_records(io.StringIO(text), format="csv")
+        assert [(error.field, error.message) for error in result.errors] == [
+            ("n", "n must be an integer, got '100.0'"),
+            ("labels", "labels must be an integer, got '4.0'"),
+        ]
+
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_a_stream_that_is_not_utf8_is_a_domain_error(self, format):
         stream = io.TextIOWrapper(io.BytesIO(b"id,n\n\xff\n"), encoding="utf-8")

@@ -231,9 +231,14 @@ def test_a_20000_count_labels_flag_reads_each_distinct_count_once(monkeypatch):
 
     monkeypatch.setattr(audit_mod, "_parse_int", counted)
     counts = random.Random(20_000).choices(range(2, 11), k=20_000)
-    result = CliRunner().invoke(main, ["baseline", "--n", "20000", "--t", "1",
-                                       "--labels", ";".join(map(str, counts))])
+    args = ["baseline", "--n", "20000", "--t", "1", "--labels", ";".join(map(str, counts))]
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
+    assert calls == Counter()  # digits between single ';' are read as one array
+    # Text the array reader leaves alone goes through the histogram.
+    monkeypatch.setattr(audit_mod, "_digit_counts", lambda text: None)
+    fallback = CliRunner().invoke(main, args)
+    assert fallback.output == result.output
     assert calls == Counter({str(c): 1 for c in set(counts)})
 
 

@@ -202,6 +202,28 @@ def test_guide_table_equals_the_search_on_adversarial_keys(spec, size):
     assert np.array_equal(found, (base.lo + np.searchsorted(cdf, keys, side="right")) / spec.n)
 
 
+def test_a_lookup_after_the_first_reuses_its_bucket_buffer():
+    # A fresh int32 bucket array and the intp copy np.take made of it held
+    # 787 KB for 2^16 keys. Buckets in the reused intp buffer leave the NaN
+    # mask and the keys to search: about 70 KB.
+    spec = TaskSpec.uniform(1000, 2, 1)
+    base, cdf = window_cdf(spec)
+    lookup = maxrand.oracle._InverseCdf(cdf, base.lo, spec.n, maxrand.oracle._guide_size(
+        len(cdf), 10**6))
+    keys = np.random.default_rng(5).random(2**16)
+    first = lookup(keys, out=np.empty(len(keys))).copy()
+    out = np.empty(len(keys))
+    tracemalloc.start()
+    try:
+        lookup(keys, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert np.array_equal(out, first)
+    assert np.array_equal(out, (base.lo + np.searchsorted(cdf, keys, side="right")) / spec.n)
+
+
 def test_the_adversarial_schemes_have_what_they_are_named_for():
     assert window_cdf(TaskSpec.uniform(5000, 3, 1))[0].lo > 0
     assert window_cdf(TaskSpec.uniform(1000, 2, 1))[1][:-1].tolist().count(1.0) > 1
