@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .orderstat import (
     _T_BLOCK_ELEMENTS,
     TaskSpec,
     _accuracy_counts,
-    _check_t,
+    _check_ts,
     _Tails,
     accuracy_to_count,
     baseline_report,  # unused here; perfbench/tracing.py wraps audit.baseline_report
@@ -269,32 +269,30 @@ def empirical_expected_max(accuracies: Sequence[float], t: int) -> float:
 def empirical_expected_maxima(accuracies: Sequence[float], ts: Sequence[int]) -> list[float]:
     """:func:`empirical_expected_max` at each ``t`` in ``ts``, sorting the sample once.
 
-    The weights ``P(V <= v)^t - P(V < v)^t`` are raised for a block of ``t``
-    at a time, at most ``_T_BLOCK_ELEMENTS`` elements or one row.  Each row's
-    exponent is broadcast, so numpy runs the ``pow`` loop it runs for one
-    ``t``; ``t = 2`` is squared, as ``** 2`` squares one ``t``.  Each row
+    The powers ``P(V <= v)^t`` are raised for a block of ``t`` at a time, at
+    most ``_T_BLOCK_ELEMENTS`` elements or one row.  Each row's exponent is
+    broadcast, so numpy runs the ``pow`` loop it runs for one ``t``; ``t = 2``
+    is squared, as ``** 2`` squares one ``t``.  Both cdf values come from
+    the exact integer counts, so each ``P(V < v)`` is the previous
+    ``P(V <= v)``, bit for bit: each weight ``P(V <= v)^t - P(V < v)^t`` is the
+    difference of adjacent powers, and the weights telescope.  Each row
     meets the values in a dot of its own.  So every value has the bits of
     its one-t call.
     """
     if len(accuracies) == 0:
         raise DomainError("accuracies must be nonempty")
-    for t in ts:
-        _check_t(t)
+    _check_ts(ts)
     values = np.asarray(accuracies, dtype=float)
     distinct, counts = np.unique(values, return_counts=True)
-    # Both from the exact integer counts, so each below is the previous
-    # at_most, bit for bit, and the weights telescope.
-    cumulative = np.cumsum(counts)
-    at_most = cumulative / values.size
-    below = (cumulative - counts) / values.size
-    times = np.array([float(t) for t in ts])[:, None]
+    at_most = np.cumsum(counts) / values.size
+    times = np.array(ts, dtype=float)[:, None]
     step = max(1, _T_BLOCK_ELEMENTS // distinct.size)
     curve: list[float] = []
     for start in range(0, len(times), step):
         block = times[start : start + step]
-        weights = at_most**block - below**block
-        weights[block[:, 0] == 2] = at_most**2 - below**2
-        curve += [float(distinct @ row) for row in weights]
+        powers = at_most**block
+        powers[block[:, 0] == 2] = at_most**2
+        curve += [float(distinct @ row) for row in np.diff(powers, axis=1, prepend=0.0)]
     return curve
 
 
@@ -349,37 +347,35 @@ def classify_records(records: Sequence[ExperimentRecord]) -> list[AuditVerdict]:
     ]
 
 
-def _count_categories(verdicts: Iterable[AuditVerdict]) -> CategoryCounts:
-    tally = {category: 0 for category in CATEGORIES}
-    for verdict in verdicts:
-        tally[verdict.category] += 1
-    return CategoryCounts(**tally)
-
-
 def aggregate(verdicts: Sequence[AuditVerdict]) -> AuditSummary:
-    """Total and per-(model, dataset) category counts with flip percentages."""
+    """Total and per-(model, dataset) category counts with flip percentages, from one tally."""
     if len(verdicts) == 0:
         raise DomainError("verdicts must be nonempty")
-    by_group: dict[tuple[str, str], list[AuditVerdict]] = {}
-    for verdict in verdicts:
-        by_group.setdefault((verdict.model, verdict.dataset), []).append(verdict)
-    groups = tuple(
-        GroupCounts(model=model, dataset=dataset, counts=_count_categories(group))
-        for (model, dataset), group in sorted(by_group.items())
+    total = dict.fromkeys(CATEGORIES, 0)
+    groups: dict[tuple[str, str], dict[str, int]] = {}
+    for (model, dataset, category), count in Counter(
+            map(attrgetter("model", "dataset", "category"), verdicts)).items():
+        total[category] += count
+        groups.setdefault((model, dataset), dict.fromkeys(CATEGORIES, 0))[category] += count
+    return AuditSummary(
+        total=CategoryCounts(**total),
+        groups=tuple(GroupCounts(model, dataset, CategoryCounts(**counts))
+                     for (model, dataset), counts in sorted(groups.items())),
     )
-    return AuditSummary(total=_count_categories(verdicts), groups=groups)
 
 
 def _sweep(truths: Sequence[bool], scores: Sequence[float]) -> list[tuple[int, int]]:
     """Cumulative (tp, fp) after each group of tied scores, taken in descending score order."""
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    sweep = []
+    sweep: list[tuple[int, int]] = []
     tp = fp = 0
-    for _, group in itertools.groupby(order, key=scores.__getitem__):
-        hits = [bool(truths[i]) for i in group]
-        tp += sum(hits)
-        fp += len(hits) - sum(hits)
+    previous = None
+    for score, truth in sorted(zip(scores, map(bool, truths)), reverse=True):
+        if sweep and score == previous:
+            sweep.pop()  # a tie: the group's point moves on
+        tp += truth
+        fp += not truth
         sweep.append((tp, fp))
+        previous = score
     return sweep
 
 

@@ -19,6 +19,8 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -78,36 +80,54 @@ def _json_value(value):
     return value
 
 
-def _csv_cells(column) -> list[str]:
-    """``_cell`` of each value of one column, in one pass."""
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_texts(column) -> list[str]:
+    """``json.dumps(_json_value(value))`` of each value of one column, in one pass chosen by type."""
     kinds = set(map(type, column))
     if kinds == {float}:
-        return list(map("{:.12g}".format, column))  # also "nan" and "inf", as _cell prints them
-    return list(map(str if kinds <= {int, str} else _cell, column))
+        # Twelve digits round-trip, so a decimal text is its own shortest repr.
+        return [text if "." in text and "e" not in text else
+                _JSON_NON_FINITE.get(text) or repr(float(text))
+                for text in map("{:.12g}".format, column)]
+    if kinds == {int}:
+        return list(map(str, column))
+    if kinds <= {str}:  # an empty column too
+        return list(map(encode_basestring_ascii, column))
+    # One json.dumps of the column: it escapes every control character, so each "\0" separates.
+    return json.dumps(list(map(_json_value, column)), separators=("\0", ": "))[1:-1].split("\0")
 
 
-def _json_values(column) -> list:
-    """``_json_value`` of each value of one column, in one pass."""
-    if set(map(type, column)) != {float}:
-        return list(map(_json_value, column))
-    return [None if text == "nan" else float(text) for text in map("{:.12g}".format, column)]
-
-
-def _csv_block(header, rows) -> str:
+def _csv_block(header, columns) -> str:
+    """The header and rows as ``csv.writer`` writes ``_cell`` of each value: one row template
+    (``%.12g`` for a float column, ``%s`` for int and text) unless the writer would quote a field
+    (one holding a comma, quote, line break or carriage return) or write ``""``."""
+    kinds = [set(map(type, column)) for column in columns]
+    template = ",".join(["%.12g" if kind == {float} else "%s" for kind in kinds]) + "\n"
+    cells = [column if kind <= {float} or kind <= {int, str} else map(_cell, column)
+             for kind, column in zip(kinds, columns)]
+    text = ",".join(header) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+    if (len(header) > 1 and text.count(",") + text.count("\n") == (len(columns[0]) + 1) * len(header)
+            and '"' not in text and "\r" not in text):
+        return text
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([header, *zip(*map(_csv_cells, zip(*rows)))])
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [header, *zip(*[map(_cell, column) for column in columns])])
     return buffer.getvalue()
 
 
-def _json_block(kind, header, rows) -> str:
-    """One ``json.dumps`` line per row, keyed by the header and led by ``kind`` unless it is None."""
-    lead = {"kind": kind} if kind else {}
-    return "".join([json.dumps(lead | dict(zip(header, row))) + "\n"
-                    for row in zip(*map(_json_values, zip(*rows)))])
+def _json_block(kind, header, columns) -> str:
+    """One line per row as ``json.dumps`` writes it, keyed by the header and led by ``kind`` unless
+    it is None: one template, its keys escaped as ``json.dumps`` escapes them and ``%`` doubled."""
+    quoted = [encode_basestring_ascii(text).replace("%", "%%") for text in [kind or "", *header]]
+    fields = ([f'"kind": {quoted[0]}'] if kind else []) + [f"{key}: %s" for key in quoted[1:]]
+    template = "{" + ", ".join(fields) + "}\n"
+    return "".join(map(template.__mod__, zip(*map(_json_texts, columns))))
 
 
 def _emit_sections(sections, fmt: str, out: str | None) -> None:
-    """Write ``(kind, header, rows)`` sections as CSV blocks or JSON lines.
+    """Write ``(kind, header, columns)`` sections as CSV blocks or JSON lines.
 
     CSV prints each section as a header plus rows, blocks separated by a
     blank line, so an empty section still prints its header.  JSON prints
@@ -115,9 +135,9 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
     the kind is None.  A file that cannot be written is a validation error.
     """
     if fmt == "json":
-        text = "".join(_json_block(kind, header, rows) for kind, header, rows in sections)
+        text = "".join(_json_block(kind, header, columns) for kind, header, columns in sections)
     else:
-        text = "\n".join(_csv_block(header, rows) for _, header, rows in sections)
+        text = "\n".join(_csv_block(header, columns) for _, header, columns in sections)
     if out is None:
         _write(sys.stdout, text)
     else:
@@ -129,12 +149,12 @@ def _emit_sections(sections, fmt: str, out: str | None) -> None:
 
 
 def _record(payload: dict) -> list:
-    """One unnamed section of one row: the payload's keys over its values."""
-    return [(None, list(payload), [list(payload.values())])]
+    """One unnamed section of one row: the payload's keys over one-value columns."""
+    return [(None, list(payload), [[value] for value in payload.values()])]
 
 
-def _fields(obj, names) -> list:
-    return [getattr(obj, name) for name in names]
+def _columns(objects, names) -> list[list]:
+    return [list(map(attrgetter(name), objects)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +224,7 @@ def main() -> None:
 
 
 def _command(fn):
-    """Register ``fn``, which returns ``(kind, header, rows)`` sections, as a subcommand.
+    """Register ``fn``, which returns ``(kind, header, columns)`` sections, as a subcommand.
 
     Adds ``--format`` and ``--out`` after ``fn``'s options, maps errors to
     an ``error:`` line and exit 3 (numeric or feasibility) or 2
@@ -308,17 +328,16 @@ def grid(n_axis, t_axis, m, labels, quantity, acc, alpha):
         raise DomainError("--quantity p_value requires --acc")
     if quantity == "threshold" and alpha is None:
         raise DomainError("--quantity threshold requires --alpha")
-    rows = []
+    values = []
     for n in ns:
         if quantity == "expected_max":
-            values = expected_max_accuracies(TaskSpec(n=n, labels=scheme, t=1), ts).tolist()
+            values += expected_max_accuracies(TaskSpec(n=n, labels=scheme, t=1), ts).tolist()
         elif quantity == "p_value":
-            values = [tail_probability_max(TaskSpec(n=n, labels=scheme, t=t), acc) for t in ts]
+            values += [tail_probability_max(TaskSpec(n=n, labels=scheme, t=t), acc) for t in ts]
         else:
-            values = [min_accuracy_at_significance(TaskSpec(n=n, labels=scheme, t=t), alpha)
-                      for t in ts]
-        rows += [[n, t, value] for t, value in zip(ts, values)]
-    return [(None, ["n", "t", "value"], rows)]
+            values += [min_accuracy_at_significance(TaskSpec(n=n, labels=scheme, t=t), alpha)
+                       for t in ts]
+    return [(None, ["n", "t", "value"], [[n for n in ns for _ in ts], ts * len(ns), values])]
 
 
 @_command
@@ -330,25 +349,24 @@ def audit(input_path, input_format, eval_heldout):
     records = _load_records_strict(input_path, input_format)
     verdicts = audit_mod.classify_records(records)
     summary = audit_mod.aggregate(verdicts)
-    scopes = [("total", None, None, summary.total)]
-    scopes += [("group", g.model, g.dataset, g.counts) for g in summary.groups]
+    scope, model, dataset, counts = zip(("total", None, None, summary.total),
+                                        *(("group", g.model, g.dataset, g.counts)
+                                          for g in summary.groups))
     sections = [
-        ("verdict", _VERDICT_HEADER, [_fields(v, _VERDICT_HEADER) for v in verdicts]),
+        ("verdict", _VERDICT_HEADER, _columns(verdicts, _VERDICT_HEADER)),
         ("summary", _SUMMARY_HEADER,
-         [[scope, model, dataset, *_fields(counts, _SUMMARY_HEADER[3:])]
-          for scope, model, dataset, counts in scopes]),
+         [scope, model, dataset, *_columns(counts, _SUMMARY_HEADER[3:])]),
     ]
     if eval_heldout:
         prediction = audit_mod.evaluate_prediction(records, verdicts)
-        points = [["roc", x, y] for x, y in prediction.roc_points]
-        points += [["pr", x, y] for x, y in prediction.pr_points]
+        roc, pr = prediction.roc_points, prediction.pr_points
         sections += [
             ("predictor", _PREDICTOR_HEADER,
-             [[name, *_fields(stats, _PREDICTOR_HEADER[1:])]
-              for name, stats in (("standard", prediction.standard), ("max", prediction.max))]),
-            ("metric", ["metric", "value"],
-             [["auroc", prediction.auroc], ["aupr", prediction.aupr]]),
-            ("curve", ["curve", "x", "y"], points),
+             [["standard", "max"], *_columns([prediction.standard, prediction.max],
+                                             _PREDICTOR_HEADER[1:])]),
+            ("metric", ["metric", "value"], [["auroc", "aupr"], [prediction.auroc, prediction.aupr]]),
+            ("curve", ["curve", "x", "y"], [["roc"] * len(roc) + ["pr"] * len(pr),
+                                            [x for x, _ in roc + pr], [y for _, y in roc + pr]]),
         ]
     return sections
 
@@ -396,21 +414,24 @@ def curve(input_path, input_format, t_axis):
             raise DomainError(f"record {record.id!r}: the t axis 1..{record.t} has over 10^6 "
                               "points; use --t")
     ts_flag = _parse_axis(t_axis, "--t") if t_axis is not None else None
-    rows = []
+    columns = [[], [], [], [], [], []]
     for record in records:
         ts = ts_flag if ts_flag is not None else list(range(1, record.t + 1))
         task = record._task
-        # the estimator is bounded by the sample range; shed float dust
-        empirical = [min(max(value, 0.0), 1.0) for value in
-                     audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts)]
+        empirical = np.array(audit_mod.empirical_expected_maxima(record.per_prompt_accuracies, ts))
+        # the estimator is bounded by the sample range; shed float dust, keeping NaN and -0.0
+        np.clip(empirical, 0.0, 1.0, out=empirical, where=(empirical < 0.0) | (empirical > 1.0))
+        empirical = empirical.tolist()
         # tail_probability_standard and tail_probability_max of each point, as arrays
         counts = np.array([_ceil_count(task.n, value) for value in empirical], np.int64)
         p_standard = _base(task).tails(counts)
-        p_max = max_tail(p_standard, np.array([float(t) for t in ts]))
-        rows += zip([record.id] * len(ts), ts, empirical,
-                    expected_max_accuracies(task, ts).tolist(), p_standard.tolist(), p_max.tolist())
+        p_max = max_tail(p_standard, np.array(ts, dtype=float))
+        for column, values in zip(columns, ([record.id] * len(ts), ts, empirical,
+                                            expected_max_accuracies(task, ts).tolist(),
+                                            p_standard.tolist(), p_max.tolist())):
+            column += values
     header = ["id", "t", "empirical_expected_max", "expected_max_baseline", "p_standard", "p_max"]
-    return [(None, header, rows)]
+    return [(None, header, columns)]
 
 
 # ---------------------------------------------------------------------------

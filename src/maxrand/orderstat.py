@@ -109,6 +109,13 @@ def _check_t(t: int) -> int:
     return t
 
 
+def _check_ts(ts: Sequence[int]) -> None:
+    """:func:`_check_t` of each ``t``: an all-int axis by its ends, value by value only to name one."""
+    if not (set(map(type, ts)) == {int} and min(ts) >= 1 and max(ts) <= sys.float_info.max):
+        for t in ts:
+            _check_t(t)
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """An evaluation setup: ``n`` examples, a label scheme, ``t`` reuses.
@@ -310,8 +317,7 @@ def expected_max_accuracies(spec: TaskSpec, ts: Sequence[int]) -> np.ndarray:
     ``spec.t`` is not used, and ``ts`` may repeat and come in any order.
     This is the one-task case of :meth:`_Tails.expected_maxima`.
     """
-    for t in ts:
-        _check_t(t)
+    _check_ts(ts)
     return _Tails([spec]).expected_maxima([0] * len(ts), ts)
 
 
@@ -350,7 +356,7 @@ class _Tails:
         block takes one ``expm1``.  Each row is summed on its own, so it has
         the bits of its one-t call.
         """
-        times = np.array([float(t) for t in ts])
+        times = np.array(ts, dtype=float)
         task = np.asarray(task, np.intp)
         values = np.array([expected_standard_accuracy(spec) for spec in self.tasks])[task]
         raised = np.flatnonzero(times != 1)

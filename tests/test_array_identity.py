@@ -30,12 +30,13 @@ from maxrand.orderstat import (
     TaskSpec,
     _base,
     baseline_report,
+    expected_max_accuracies,
     expected_max_accuracy,
     tail_probability_max,
     tail_probability_standard,
 )
 
-# The curve's raw rows, before the 12-digit formatting of the output.
+# The curve's raw columns, before the 12-digit formatting of the output.
 curve_rows = cli.curve.callback.__wrapped__
 
 evaluations = st.one_of(st.sampled_from([1, 2, 3, 10**6]), st.integers(min_value=1,
@@ -68,7 +69,8 @@ def write_and_read(payloads: list[dict], t_axis: str | None = None):
         loaded = read_records(path, format="jsonl")
         rows = None
         if t_axis is not None:
-            [(_, _, rows)] = curve_rows(input_path=str(path), input_format=None, t_axis=t_axis)
+            [(_, _, columns)] = curve_rows(input_path=str(path), input_format=None, t_axis=t_axis)
+            rows = list(zip(*columns))
     assert loaded.errors == ()
     return list(loaded.records), rows
 
@@ -186,6 +188,22 @@ def test_curve_rows_have_the_bits_of_the_one_t_functions(task, data):
         "per_prompt_accuracies": [k / n for k in counts]}], t_axis=",".join(map(str, ts)))
     assert [row[1] for row in rows] == ts
     assert_rows_have_the_scalar_bits(record, rows)
+
+
+def test_t_beyond_the_exact_doubles_is_read_as_float_t():
+    # 2^53 + 1 and the two above 2^63 are not doubles. At 900 of 1000 the tail is about
+    # 1e-150, so p_max is about t times it and shows which double t became.
+    ts = [2**53 + 1, 2**63 + 2**11 + 1, 2**70 + 2**17 + 1]
+    [record], rows = write_and_read([{
+        "id": "far", "model": "m", "dataset": "d", "n": 1000, "labels": 2, "t": 3,
+        "observed_max_accuracy": 0.9, "per_prompt_accuracies": [0.1, 0.5, 0.9]}],
+        t_axis=",".join(map(str, ts)))
+    assert_rows_have_the_scalar_bits(record, rows)
+    for t, row in zip(ts, rows, strict=True):
+        p_standard, p_max = row[4], row[5]
+        assert 0.0 < p_standard < 1e-100
+        assert bits(p_max) == bits(-np.expm1(float(t) * np.log1p(-p_standard))), t
+        assert bits(row[3]) == bits(expected_max_accuracies(record._task, [int(float(t))])[0]), t
 
 
 def test_a_long_axis_over_many_distinct_values_crosses_blocks():

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import random
 import re
@@ -826,34 +827,62 @@ class TestDeterminismAndErrors:
 
 
 # Cell values of every kind the commands emit, and some they do not.
+texts = st.text(alphabet=st.characters(exclude_characters="\0"), max_size=6)
 cell_values = {
-    "float": st.floats(),  # with nan, inf and -0.0
-    "text": st.text(alphabet=st.characters(exclude_characters="\0"), max_size=6)
-    | st.sampled_from(["", "a,b", 'say "x"', "a\nb", "a\rb", "é"]),
-    "int": st.integers(),
+    # with nan, inf and -0.0; and where .12g (1e-5, 1e12) and repr (1e16) switch to exponents
+    "float": st.floats() | st.sampled_from([
+        1e-5, 9.99999999999e-5, 1e-4, 1e12, 999999999999.0, 999999999999.5, 1e16, 1e16 + 2.0,
+        -0.0, 0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.max]),
+    "text": texts | st.sampled_from(["", "a,b", 'say "x"', "a\nb", "a\rb", "\r", "é", "日本",
+                                     "100%", "%s", "%(x)s", "%%"]),
+    "int": st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(max_value=-(2**63) + 2, min_value=-(2**70)),
     "mixed": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                        st.text(alphabet=st.characters(exclude_characters="\0"), max_size=3),
                        st.floats().map(np.float64)),
 }
 
 
+def emitted(sections, fmt: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli_mod._emit_sections(sections, fmt, None)
+    return out.getvalue()
+
+
+def assert_emits_the_cell_rules(kind, header, columns):
+    """Both formats print what csv.writer of ``_cell`` and json.dumps of ``_json_value`` print, row by row."""
+    table = list(zip(*columns))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in table:
+        writer.writerow([cli_mod._cell(value) for value in row])
+    assert emitted([(kind, header, columns)], "csv") == buffer.getvalue()
+    objects = [({"kind": kind} if kind else {})
+               | {key: cli_mod._json_value(value) for key, value in zip(header, row)}
+               for row in table]
+    assert emitted([(kind, header, columns)], "json") == "".join(
+        json.dumps(obj) + "\n" for obj in objects)
+
+
 class TestColumnEmission:
-    """Sections are formatted a column at a time, with the bytes of the value-by-value rules."""
+    """Sections are written from columns, with the bytes of the value-by-value rules."""
 
     @given(kinds=st.lists(st.sampled_from(sorted(cell_values)), min_size=1, max_size=4),
-           kind=st.sampled_from([None, "verdict"]), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_columns_print_what_the_cell_rules_print(self, kinds, kind, data):
-        header = [f"h{i}" for i in range(len(kinds))]
-        table = data.draw(st.lists(st.tuples(*(cell_values[k] for k in kinds)), max_size=6))
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([cli_mod._cell(value) for value in row])
-        assert cli_mod._csv_block(header, table) == buffer.getvalue()
-        objects = [({"kind": kind} if kind else {})
-                   | {key: cli_mod._json_value(value) for key, value in zip(header, row)}
-                   for row in table]
-        assert cli_mod._json_block(kind, header, table) == "".join(
-            json.dumps(obj) + "\n" for obj in objects)
+           kind=st.sampled_from([None, "verdict", "50%", "%s é"]),
+           size=st.sampled_from([0, 1]) | st.integers(min_value=0, max_value=6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_print_what_the_cell_rules_print(self, kinds, kind, size, data):
+        header = data.draw(st.lists(texts | st.sampled_from(["h%", "%s", "a,b"]), min_size=len(kinds),
+                                    max_size=len(kinds), unique=True).filter(lambda h: "kind" not in h),
+                           label="header")
+        columns = [data.draw(st.lists(cell_values[k], min_size=size, max_size=size), label=k)
+                   for k in kinds]
+        assert_emits_the_cell_rules(kind, header, columns)
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "x"', "a\nb", "a\rb", "\r", "", "é", "100%"])
+    def test_text_that_csv_may_quote(self, text):
+        assert_emits_the_cell_rules("verdict", ["id", "n"], [[text, "plain"], [1, 2]])
+        assert_emits_the_cell_rules(None, [text or "h"], [[text, None, "x"]])  # a lone empty field
+        assert_emits_the_cell_rules("50%", ["%s", text + "k"], [[text], [1.0]])
